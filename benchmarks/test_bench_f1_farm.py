@@ -63,15 +63,15 @@ def run_sweep(executor: Executor) -> tuple:
 
 
 def run_experiment():
-    cache_dir = tempfile.mkdtemp(prefix="repro-farm-f1-")
+    cache_root = tempfile.mkdtemp(prefix="repro-farm-f1-")
     try:
         serial, serial_seconds = run_sweep(Executor(jobs=1))
         parallel, parallel_seconds = run_sweep(
-            Executor(jobs=WORKERS, cache_dir=cache_dir))
+            Executor(jobs=WORKERS, cache=cache_root))
         warm, warm_seconds = run_sweep(
-            Executor(jobs=WORKERS, cache_dir=cache_dir))
+            Executor(jobs=WORKERS, cache=cache_root))
     finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(cache_root, ignore_errors=True)
     return (serial, serial_seconds, parallel, parallel_seconds,
             warm, warm_seconds)
 

@@ -1,37 +1,45 @@
 """F2 (farm backends): warm daemon workers amortize per-campaign setup.
 
-A fork pool pays its dispatch tax on every campaign: fresh worker
-processes, cold module memos, cold decode caches.  The persistent
-daemon backend keeps the same worker processes alive across campaigns,
-so anything a job memoizes at module level (here: assembled programs
-and their ISS decode caches) is already hot when the next sweep lands.
+The persistent daemon backend (what ``auto`` resolves to for any
+``jobs > 1``) keeps the same worker processes alive across campaigns,
+so anything a job memoizes at module level (here: a library of
+assembled and decoded programs) is already hot when the next sweep
+lands.  A cold start -- right after ``shutdown_daemons()`` -- pays the
+fork, the assembly and the decode once per worker.
 
-This bench runs a 50-job decode-heavy sweep (each job assembles and
-executes its own 400-instruction program, memoized per worker process)
-four ways -- cold fork pool, daemon warm-up pass, warm daemon pass,
-serial inline reference -- and a skewed sleep-mix sweep under static
-vs work-stealing shard schedules.  Asserted shapes:
+This bench runs a 50-job decode-heavy sweep (each job executes one
+400-instruction program from a library that every worker process
+assembles and decodes on first use) as a cold daemon pass followed by
+a warm one, ``ROUNDS`` times, and once on the serial inline
+reference.  Asserted shapes:
 
-- every backend/shard combination reproduces the inline aggregate
-  byte-for-byte (the portable claim, asserted unconditionally);
-- with >= 2 usable CPUs the warm daemon sweep is >= 2x faster than the
-  cold fork-pool sweep; on 1-CPU containers (CI) the ratio is recorded
-  and only parity-bounded, per the F1 precedent;
-- work-stealing beats a static shard partition on a skewed job mix
-  (sleep-based, so the shape holds at any CPU count).
+- every daemon pass reproduces the inline aggregate byte-for-byte;
+- the median cold/warm wall ratio is at least ``MIN_COLD_OVER_WARM``
+  (the savings come from work elimination, not parallelism, so the
+  bound holds at any CPU count).
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.farm import Campaign, shutdown_daemons
 from repro.vp import SoC, SoCConfig, assemble
+from repro.vp.iss import decode_program
 
 JOBS = 50
 WORKERS = 2
 LINES = 400
+ROUNDS = 3
+
+# Cold/warm wall ratio floor, from twenty runs on a 2-CPU x86-64 Linux
+# host (Python 3.11).  Run alone, the median-of-3 ratio measured
+# 8.9x-12.4x (median 10.2x).  Inside the full bench suite the warm pass
+# is slower (cause not isolated) and the ratio measured 2.4x-8.9x
+# (median 2.9x).  The floor sits below the lowest run.
+MIN_COLD_OVER_WARM = 1.5
 
 
 def build_source(seed: int) -> str:
@@ -44,26 +52,28 @@ def build_source(seed: int) -> str:
     return "\n".join(lines)
 
 
-# Module-level memo: persists inside daemon workers across campaigns,
-# is rebuilt from scratch inside every fresh fork pool.  The assembled
-# program object also carries the ISS decode cache, so a warm worker
-# skips both the parse and the per-instruction decode.
+# Module-level memo: persists inside daemon workers across campaigns and
+# is inherited from the parent when a worker is forked.  The whole
+# library is built at once, so a warm worker skips the parse and the
+# per-instruction decode whichever jobs the FIFO hands it.
 _PROGRAMS = {}
 
 
+def program_library():
+    """Every sweep program, assembled and decoded once per process."""
+    if not _PROGRAMS:
+        for seed in range(JOBS):
+            program = assemble(build_source(seed))
+            decode_program(program)
+            _PROGRAMS[seed] = program
+    return _PROGRAMS
+
+
 def decode_job(config, seed):
-    program = _PROGRAMS.get(seed)
-    if program is None:
-        program = assemble(build_source(seed))
-        _PROGRAMS[seed] = program
-    soc = SoC(SoCConfig(n_cores=1, ram_words=64), {0: program})
+    soc = SoC(SoCConfig(n_cores=1, ram_words=64),
+              {0: program_library()[seed]})
     soc.run()
     return {"seed": seed, "sum": soc.mem(8)}
-
-
-def sleep_job(config, seed):
-    time.sleep(config["seconds"])
-    return {"seed": seed}
 
 
 def run_decode_sweep(name: str, **policy):
@@ -75,98 +85,51 @@ def run_decode_sweep(name: str, **policy):
     return result, time.perf_counter() - started
 
 
-def run_sleep_sweep(name: str, **policy):
-    # Skewed mix: the first shard's jobs are 20x more expensive, so a
-    # static partition leaves one worker idle while the other grinds.
-    campaign = Campaign.build(name, **policy)
-    for seed in range(8):
-        seconds = 0.2 if seed < 4 else 0.01
-        campaign.add(sleep_job, config={"seconds": seconds}, seed=seed)
-    started = time.perf_counter()
-    result = campaign.run().raise_on_failure()
-    return result, time.perf_counter() - started
-
-
 def run_experiment():
-    shutdown_daemons()  # measure a true daemon cold start
-    _PROGRAMS.clear()   # the parent memo must not leak into fork workers
-    fork_cold, fork_seconds = run_decode_sweep(
-        "f2-fork", jobs=WORKERS, backend="fork")
-    daemon_cold, daemon_cold_seconds = run_decode_sweep(
-        "f2-daemon-cold", jobs=WORKERS, backend="daemon")
-    daemon_warm, daemon_warm_seconds = run_decode_sweep(
-        "f2-daemon-warm", jobs=WORKERS, backend="daemon")
-    serial, serial_seconds = run_decode_sweep("f2-serial")
-
-    static, static_seconds = run_sleep_sweep(
-        "f2-static", jobs=WORKERS, shards=WORKERS, steal=False)
-    stolen, stolen_seconds = run_sleep_sweep(
-        "f2-stolen", jobs=WORKERS, shards=WORKERS, steal=True)
-    return {
-        "fork": (fork_cold, fork_seconds),
-        "daemon_cold": (daemon_cold, daemon_cold_seconds),
-        "daemon_warm": (daemon_warm, daemon_warm_seconds),
-        "serial": (serial, serial_seconds),
-        "static": (static, static_seconds),
-        "stolen": (stolen, stolen_seconds),
-    }
+    passes = []
+    for _ in range(ROUNDS):
+        # A true cold start: no parked workers, and an empty parent memo
+        # for the fresh workers to inherit.
+        _PROGRAMS.clear()
+        shutdown_daemons()
+        cold = run_decode_sweep("f2-daemon-cold", jobs=WORKERS)
+        warm = run_decode_sweep("f2-daemon-warm", jobs=WORKERS)
+        passes.append((cold, warm))
+    # The serial pass runs last because it fills the parent memo.
+    serial = run_decode_sweep("f2-serial")
+    return passes, serial
 
 
 def test_bench_f2_backend_dispatch(benchmark, show, record_bench):
-    runs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    passes, (serial, serial_seconds) = benchmark.pedantic(
+        run_experiment, rounds=1, iterations=1)
     cpus = len(os.sched_getaffinity(0))
 
-    fork_cold, fork_seconds = runs["fork"]
-    daemon_cold, daemon_cold_seconds = runs["daemon_cold"]
-    daemon_warm, daemon_warm_seconds = runs["daemon_warm"]
-    serial, serial_seconds = runs["serial"]
-    static, static_seconds = runs["static"]
-    stolen, stolen_seconds = runs["stolen"]
+    daemon_cold_seconds = statistics.median(cold[1] for cold, _ in passes)
+    daemon_warm_seconds = statistics.median(warm[1] for _, warm in passes)
+    warm_ratio = statistics.median(
+        cold[1] / max(warm[1], 1e-9) for cold, warm in passes)
 
-    warm_ratio = fork_seconds / max(daemon_warm_seconds, 1e-9)
-    steal_speedup = static_seconds / max(stolen_seconds, 1e-9)
-
-    show(f"F2: {JOBS}-job decode-heavy sweep, fork pool vs daemons",
-         [["fork pool (cold)", f"{fork_seconds:.2f}s", "1.00x"],
-          ["daemon (cold start)", f"{daemon_cold_seconds:.2f}s",
-           f"{fork_seconds / max(daemon_cold_seconds, 1e-9):.2f}x"],
+    show(f"F2: {JOBS}-job decode-heavy sweep, cold vs warm daemons "
+         f"(median of {ROUNDS})",
+         [["daemon (cold start)", f"{daemon_cold_seconds:.2f}s", "1.00x"],
           ["daemon (warm)", f"{daemon_warm_seconds:.2f}s",
            f"{warm_ratio:.2f}x"],
           ["serial inline", f"{serial_seconds:.2f}s",
-           f"{fork_seconds / max(serial_seconds, 1e-9):.2f}x"]],
-         ["backend", "wall", "vs cold fork"])
-    show("F2: skewed sleep mix, static shards vs work stealing",
-         [["static partition", f"{static_seconds:.2f}s", "1.00x"],
-          ["work stealing", f"{stolen_seconds:.2f}s",
-           f"{steal_speedup:.2f}x"]],
-         ["schedule", "wall", "speedup"])
+           f"{daemon_cold_seconds / max(serial_seconds, 1e-9):.2f}x"]],
+         ["backend", "wall", "vs cold daemon"])
 
-    # Claim shape 1: the backend never changes the answer.  Every
-    # combination -- cold fork, cold/warm daemons, static and stolen
-    # shard schedules -- is byte-identical to the inline reference.
+    # Claim shape 1: the backend never changes the answer.  Cold and
+    # warm daemon passes are byte-identical to the inline reference.
     reference = serial.aggregate_json()
-    assert fork_cold.aggregate_json() == reference
-    assert daemon_cold.aggregate_json() == reference
-    assert daemon_warm.aggregate_json() == reference
-    assert stolen.aggregate_json() == static.aggregate_json()
+    for (cold, _), (warm, _) in passes:
+        assert cold.aggregate_json() == reference
+        assert warm.aggregate_json() == reference
 
-    # Claim shape 2: warm daemons amortize dispatch + decode.  With real
-    # parallelism available the warm pass must be >= 2x faster than the
-    # cold fork pool; on 1-CPU containers the ratio is recorded but only
-    # parity-bounded (F1 precedent: byte-identity is the portable claim).
-    if cpus >= WORKERS:
-        assert warm_ratio >= 2.0
-    else:
-        assert warm_ratio > 0.5
+    # Claim shape 2: warm daemons amortize fork + assembly + decode.
+    assert warm_ratio >= MIN_COLD_OVER_WARM
 
-    # Claim shape 3: stealing beats a static partition on a skewed mix.
-    # Sleep-based jobs parallelize at any CPU count, so this shape is
-    # asserted unconditionally (with slack for scheduler jitter).
-    assert steal_speedup > 1.2
-    assert stolen.stats()["failed"] == 0
-
-    record_bench(warm_ratio=warm_ratio, steal_speedup=steal_speedup,
-                 cpus=cpus, fork_seconds=fork_seconds,
+    record_bench(warm_ratio=warm_ratio, cpus=cpus,
                  daemon_cold_seconds=daemon_cold_seconds,
                  daemon_warm_seconds=daemon_warm_seconds,
                  serial_seconds=serial_seconds)

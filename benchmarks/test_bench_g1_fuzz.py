@@ -30,7 +30,7 @@ WORKERS = 2
 
 
 def run_experiment():
-    cache_dir = tempfile.mkdtemp(prefix="repro-fuzz-g1-")
+    cache_root = tempfile.mkdtemp(prefix="repro-fuzz-g1-")
     try:
         started = time.perf_counter()
         serial = run_fuzz_campaign(PROGRAMS, base_seed=BASE_SEED)
@@ -39,16 +39,16 @@ def run_experiment():
         started = time.perf_counter()
         parallel = run_fuzz_campaign(
             PROGRAMS, base_seed=BASE_SEED,
-            executor=Executor(jobs=WORKERS, cache_dir=cache_dir))
+            executor=Executor(jobs=WORKERS, cache=cache_root))
         parallel_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         warm = run_fuzz_campaign(
             PROGRAMS, base_seed=BASE_SEED,
-            executor=Executor(jobs=1, cache_dir=cache_dir))
+            executor=Executor(jobs=1, cache=cache_root))
         warm_seconds = time.perf_counter() - started
     finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(cache_root, ignore_errors=True)
     return (serial, serial_seconds, parallel, parallel_seconds,
             warm, warm_seconds)
 

@@ -36,14 +36,11 @@ def main(argv=None) -> int:
                         help="base seed; seeds run [seed, seed+programs)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="farm worker processes (default 1)")
-    parser.add_argument("--cache", default=None, action="append",
-                        help="farm result-cache directory (repeatable: "
-                             "first=local tier, later=shared tiers)")
+    parser.add_argument("--cache", default=None,
+                        help="farm result-cache directory")
     parser.add_argument("--backend", default=None,
-                        choices=["inline", "fork", "daemon"],
+                        choices=["inline", "daemon"],
                         help="farm executor backend (default: auto)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="work-stealing shards over the job list")
     parser.add_argument("--kind", choices=["firmware", "expr", "both"],
                         default="both",
                         help="scenario kind to generate (default both)")
@@ -54,13 +51,9 @@ def main(argv=None) -> int:
     kinds = {"firmware": ("firmware",), "expr": ("expr",),
              "both": ("firmware", "expr")}[args.kind]
     executor = None
-    if args.jobs != 1 or args.cache or args.backend or args.shards:
-        cache = None
-        if args.cache:
-            cache = args.cache[0] if len(args.cache) == 1 else args.cache
-        executor = Executor(jobs=args.jobs, cache=cache,
-                            backend=args.backend or "auto",
-                            shards=args.shards)
+    if args.jobs != 1 or args.cache or args.backend:
+        executor = Executor(jobs=args.jobs, cache=args.cache,
+                            backend=args.backend or "auto")
 
     report = run_fuzz_campaign(args.programs, base_seed=args.seed,
                                kinds=kinds, executor=executor)

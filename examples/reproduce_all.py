@@ -173,7 +173,7 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="shard bench files over N farm workers")
     parser.add_argument("--backend", default="auto",
-                        choices=["auto", "inline", "fork", "daemon"],
+                        choices=["auto", "inline", "daemon"],
                         help="farm executor backend for --jobs runs")
     args = parser.parse_args()
 

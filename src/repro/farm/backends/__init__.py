@@ -1,37 +1,30 @@
-"""Pluggable execution backends for the campaign engine.
+"""Execution backends for the campaign engine.
 
 Public surface:
 
 - :class:`~repro.farm.backends.base.ExecutorBackend` -- the protocol
-  (``submit`` / ``drain`` / ``cancel`` / ``teardown`` + capabilities);
+  (``submit`` / ``drain`` / ``cancel`` / ``teardown``);
 - :func:`make_backend` -- name -> backend factory used by
-  :class:`repro.farm.Executor` (``"inline"``, ``"fork"``, ``"daemon"``);
-- :func:`~repro.farm.backends.shards.make_planner` -- the optional
-  work-stealing shard scheduler layered on any backend.
+  :class:`repro.farm.Executor` (``"inline"``, ``"daemon"``).
 """
 
 from __future__ import annotations
 
 from repro.farm.backends.base import (
-    BackendCapabilities, Completion, ExecutorBackend, InlineBackend,
-    STATUS_CRASH, STATUS_ERROR, STATUS_OK, STATUS_SUSPECT,
-    execute_payload, fork_available, require_fork,
+    Completion, ExecutorBackend, InlineBackend, STATUS_CRASH, STATUS_ERROR,
+    STATUS_OK, execute_payload, fork_available, require_fork,
 )
 from repro.farm.backends.daemon import DaemonBackend, shutdown_daemons, \
     warm_worker_pids
-from repro.farm.backends.fork import ForkPoolBackend
-from repro.farm.backends.shards import JobPlanner, ShardedPlanner, \
-    make_planner
 
 BACKENDS = {
     "inline": InlineBackend,
-    "fork": ForkPoolBackend,
     "daemon": DaemonBackend,
 }
 
 
 def make_backend(kind: str, width: int) -> ExecutorBackend:
-    """Build a backend by name; process backends reject spawn-only
+    """Build a backend by name; the daemon backend rejects spawn-only
     platforms here, before any job is dispatched."""
     try:
         factory = BACKENDS[kind]
@@ -42,9 +35,8 @@ def make_backend(kind: str, width: int) -> ExecutorBackend:
 
 
 __all__ = [
-    "BACKENDS", "BackendCapabilities", "Completion", "DaemonBackend",
-    "ExecutorBackend", "ForkPoolBackend", "InlineBackend", "JobPlanner",
-    "STATUS_CRASH", "STATUS_ERROR", "STATUS_OK", "STATUS_SUSPECT",
-    "ShardedPlanner", "execute_payload", "fork_available", "make_backend",
-    "make_planner", "require_fork", "shutdown_daemons", "warm_worker_pids",
+    "BACKENDS", "Completion", "DaemonBackend", "ExecutorBackend",
+    "InlineBackend", "STATUS_CRASH", "STATUS_ERROR", "STATUS_OK",
+    "execute_payload", "fork_available", "make_backend", "require_fork",
+    "shutdown_daemons", "warm_worker_pids",
 ]

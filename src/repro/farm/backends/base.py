@@ -1,19 +1,17 @@
 """The ExecutorBackend protocol: what the campaign engine runs jobs on.
 
 The engine owns *policy* -- ordered aggregation, caching, retry budget,
-timeout charging, blame accounting -- and a backend owns *mechanism*:
-getting a submitted job executed somewhere and reporting what happened.
-The whole contract is four methods and a capability record:
+timeout charging -- and a backend owns *mechanism*: getting a submitted
+job executed somewhere and reporting what happened.  The whole contract
+is four methods:
 
 - :meth:`ExecutorBackend.submit` -- start one job under an integer tag
   (the engine uses the job's submission index, so completions map back
   to their aggregation slot without any shared state);
 - :meth:`ExecutorBackend.drain` -- block up to a timeout and return the
   :class:`Completion` batch that arrived;
-- :meth:`ExecutorBackend.cancel` -- abort specific in-flight tags (for
-  timeout enforcement) and return the *collateral* tags that were
-  innocently interrupted by the abort mechanism (a fork pool can only
-  kill everything; a daemon kills one worker);
+- :meth:`ExecutorBackend.cancel` -- kill specific in-flight tags (for
+  timeout enforcement); only the named jobs are interrupted;
 - :meth:`ExecutorBackend.teardown` -- release resources; warm backends
   may keep their workers for the next campaign.
 
@@ -21,17 +19,13 @@ Completion statuses:
 
 - ``ok`` / ``error`` -- the job function returned / raised; ``value``
   is the result / message;
-- ``crash`` -- the worker died underneath the job and the backend is
-  *certain* which job killed it (daemon workers run one job each; a
-  width-1 fork pool has one suspect);
-- ``suspect`` -- the execution substrate died with several jobs in
-  flight and blame cannot be attributed; the engine refunds the attempt
-  and re-runs each suspect in isolation.
+- ``crash`` -- the worker died underneath the job.  Every backend runs
+  at most one job per worker, so a crash always names exactly one job.
 
 Determinism invariant: a backend influences only *where and when* jobs
 execute, never what enters the aggregate -- the engine normalizes every
 result through one JSON round-trip and merges by tag order, so any
-backend combination is byte-identical to the ``jobs=1`` oracle.
+backend is byte-identical to the ``jobs=1`` oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from repro.farm.job import Job, resolve_ref
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_CRASH = "crash"
-STATUS_SUSPECT = "suspect"
 
 
 def fork_available() -> bool:
@@ -59,10 +52,10 @@ def fork_available() -> bool:
 def require_fork(what: str) -> None:
     """Reject spawn-only platforms up front with an actionable error.
 
-    Both process backends rely on fork semantics (workers inherit the
+    The daemon backend relies on fork semantics (workers inherit the
     parent's imported modules, so job functions defined in scripts and
-    test files resolve by name).  On a spawn-only platform that used to
-    surface as a pickle failure halfway into a sweep; now it is an
+    test files resolve by name).  On a spawn-only platform that would
+    surface as an import failure halfway into a sweep; this makes it an
     immediate, explicit error.
     """
     if not fork_available():
@@ -78,8 +71,7 @@ def execute_payload(payload: Tuple[str, Any, int]) -> Tuple[str, Any, float]:
 
     Returns ``("ok", result, elapsed)`` or ``("error", message, elapsed)``;
     never raises, so the only way an execution is lost is the worker
-    dying.  Shared verbatim by the fork-pool and daemon backends so an
-    error message is identical no matter where the job ran.
+    dying.
     """
     ref, config, seed = payload
     start = time.perf_counter()
@@ -96,43 +88,27 @@ def execute_payload(payload: Tuple[str, Any, int]) -> Tuple[str, Any, float]:
         return ("error", message, time.perf_counter() - start)
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What the engine may rely on for a given backend.
-
-    - ``timeout_kill`` -- a timed-out job can be killed without
-      interrupting its siblings (``cancel`` has no collateral);
-    - ``warm_state`` -- worker processes outlive the campaign, so
-      per-process state (decode caches, JIT superblocks, module memos)
-      amortizes across campaigns;
-    - ``attributable_crash`` -- a worker death always maps to exactly
-      one job (no ``suspect`` completions ever);
-    - ``in_process`` -- jobs run in the calling process: closures are
-      allowed, crashes are impossible, timeouts are unenforceable.
-    """
-
-    kind: str
-    timeout_kill: bool = False
-    warm_state: bool = False
-    attributable_crash: bool = False
-    in_process: bool = False
-
-
 @dataclass
 class Completion:
     """One finished (or lost) execution, reported by a backend."""
 
     tag: int
-    status: str           # STATUS_OK | STATUS_ERROR | STATUS_CRASH | STATUS_SUSPECT
-    value: Any = None     # result for ok, message for error/crash/suspect
+    status: str           # STATUS_OK | STATUS_ERROR | STATUS_CRASH
+    value: Any = None     # result for ok, message for error/crash
     elapsed: float = 0.0
 
 
 class ExecutorBackend:
     """Abstract execution substrate; see the module docstring for the
-    full contract."""
+    full contract.
 
-    capabilities: BackendCapabilities
+    ``in_process`` backends run jobs in the calling process: closures
+    are allowed, crashes are impossible and timeouts are unenforceable,
+    so the engine gives each job exactly one attempt there.
+    """
+
+    kind: str
+    in_process: bool = False
     width: int
 
     def submit(self, tag: int, job: Job) -> None:
@@ -141,10 +117,8 @@ class ExecutorBackend:
     def drain(self, timeout: Optional[float]) -> List[Completion]:
         raise NotImplementedError
 
-    def cancel(self, tags: Sequence[int]) -> List[int]:
-        """Abort the given in-flight tags; returns collateral tags that
-        were interrupted alongside them (to be refunded and requeued by
-        the engine)."""
+    def cancel(self, tags: Sequence[int]) -> None:
+        """Kill the given in-flight tags; no other job is interrupted."""
         raise NotImplementedError
 
     def teardown(self) -> None:
@@ -166,8 +140,8 @@ class InlineBackend(ExecutorBackend):
     this one's aggregate bytes.
     """
 
-    capabilities = BackendCapabilities(kind="inline", in_process=True,
-                                       attributable_crash=True)
+    kind = "inline"
+    in_process = True
 
     def __init__(self, width: int = 1) -> None:
         self.width = 1
@@ -191,15 +165,15 @@ class InlineBackend(ExecutorBackend):
         return [Completion(tag, STATUS_OK, result,
                            time.perf_counter() - start)]
 
-    def cancel(self, tags: Sequence[int]) -> List[int]:
-        return []
+    def cancel(self, tags: Sequence[int]) -> None:
+        pass
 
     def teardown(self) -> None:
         self._pending.clear()
 
 
 __all__ = [
-    "BackendCapabilities", "Completion", "ExecutorBackend",
-    "InlineBackend", "STATUS_CRASH", "STATUS_ERROR", "STATUS_OK",
-    "STATUS_SUSPECT", "execute_payload", "fork_available", "require_fork",
+    "Completion", "ExecutorBackend", "InlineBackend", "STATUS_CRASH",
+    "STATUS_ERROR", "STATUS_OK", "execute_payload", "fork_available",
+    "require_fork",
 ]

@@ -1,12 +1,17 @@
 """Persistent worker daemons behind the ExecutorBackend protocol.
 
-A fork pool pays its startup tax every campaign: new interpreters
-(well, forked images), cold decode caches, cold superblock JITs, cold
-module-level memos.  This backend keeps a module-global pool of
-long-lived worker processes connected over ``socketpair`` pipes, so the
-*same* worker processes serve campaign after campaign and everything a
-job function caches at module level (assembled programs, decode caches,
+This is the farm's one multi-process backend (``auto`` resolves to it
+whenever ``jobs > 1``).  It keeps a module-global pool of long-lived
+worker processes connected over ``socketpair`` pipes, so the *same*
+worker processes serve campaign after campaign and everything a job
+function caches at module level (assembled programs, decode caches,
 JIT'd superblocks) stays warm.
+
+Warm-state contract: workers are forked the first time a multi-process
+campaign needs them and keep the modules the parent had imported *at
+that moment*.  Reloading or patching job code in the parent afterwards
+does not reach them -- call :func:`shutdown_daemons` after doing so,
+and the next campaign forks fresh workers from the current parent.
 
 Wire protocol -- length-prefixed canonical-JSON frames (``">I"`` byte
 count, then UTF-8 JSON)::
@@ -23,9 +28,9 @@ there is no pickling anywhere in this backend.
 
 Liveness: each worker runs exactly one job at a time, so a dead socket
 *is* an attributable crash -- the backend reports ``crash`` for the tag
-the worker carried, replaces the worker, and the engine's existing
-JobFailure/refund machinery does the rest.  Idle workers are
-heartbeat-pinged on acquisition and silently replaced if dead.
+the worker carried, replaces the worker, and the engine's retry
+budget does the rest.  Idle workers are heartbeat-pinged on
+acquisition and silently replaced if dead.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from __future__ import annotations
 import atexit
 import json
 import multiprocessing
-import os
 import select
 import socket
 import struct
@@ -41,9 +45,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.serde import canonical_json
 from repro.farm.backends.base import (
-    STATUS_CRASH, STATUS_ERROR, STATUS_OK,
-    BackendCapabilities, Completion, ExecutorBackend, execute_payload,
-    require_fork,
+    STATUS_CRASH, STATUS_ERROR, STATUS_OK, Completion, ExecutorBackend,
+    execute_payload, require_fork,
 )
 from repro.farm.job import Job
 
@@ -250,9 +253,7 @@ def warm_worker_pids(count: int) -> List[int]:
 class DaemonBackend(ExecutorBackend):
     """Campaign-facing view over ``width`` persistent workers."""
 
-    capabilities = BackendCapabilities(kind="daemon", timeout_kill=True,
-                                       warm_state=True,
-                                       attributable_crash=True)
+    kind = "daemon"
 
     def __init__(self, width: int) -> None:
         require_fork("the daemon backend")
@@ -333,17 +334,15 @@ class DaemonBackend(ExecutorBackend):
                 float(frame.get("elapsed") or 0.0)))
         return completions
 
-    def cancel(self, tags: Sequence[int]) -> List[int]:
+    def cancel(self, tags: Sequence[int]) -> None:
         # Daemon workers run one job each, so a timed-out job is killed
-        # with surgical precision: no siblings are interrupted, hence no
-        # collateral to refund.
+        # without interrupting any sibling.
         for tag in tags:
             worker = self._busy.pop(tag, None)
             if worker is None:
                 continue
             fresh = self._replace(worker)
             self._free.append(fresh)
-        return []
 
     def teardown(self) -> None:
         # Busy workers at teardown are wedged (the engine only tears

@@ -1,4 +1,4 @@
-"""Content-addressed result cache, layered into composable tiers.
+"""Content-addressed result cache.
 
 One file per completed job, named by the job's content address
 (:func:`repro.farm.job.job_key`), stored as canonical JSON under a
@@ -9,30 +9,17 @@ two-character fan-out directory::
 A hit returns the cached result without executing anything -- that is
 how re-runs and resumed sweeps skip completed points.  Because the key
 hashes (function ref, config, seed, code-version salt), a cache can be
-shared between serial and parallel campaigns, across processes and
-across machines, and can never serve a stale result for edited code.
+shared between serial and parallel campaigns and across processes, and
+can never serve a stale result for edited code.
 
-The :class:`CacheTier` interface makes that location-independence
-explicit.  Three concrete tiers ship:
-
-- :class:`ResultCache` -- the local-disk tier (the original cache,
-  unchanged on disk);
-- :class:`SharedDirectoryCache` -- the same layout on a shared /
-  network-mounted directory; lookups behave identically, but stores are
-  *best-effort* (a flaky mount degrades to a miss-only tier instead of
-  failing the campaign);
-- :class:`TieredCache` -- a read-through / write-back stack: lookups
-  try tiers in order and promote remote hits into the earlier (faster)
-  tiers; stores write through every writable tier.
-
-Every tier preserves the two load-bearing invariants: writes are atomic
-(temp file + ``os.replace``), so concurrent workers racing on the same
-key simply last-write-wins identical bytes; corrupt or truncated
-entries read as misses, never as errors.
+Two invariants carry the weight: writes are atomic (temp file +
+``os.replace``), so concurrent workers racing on the same key simply
+last-write-wins identical bytes; corrupt or truncated entries read as
+misses, never as errors.
 
 :func:`as_cache_tier` is the uniform coercion every campaign surface
-accepts: ``None``, a directory path, a ready tier, or a list of either
-(composed into a :class:`TieredCache`).
+accepts for ``cache=``: ``None``, a directory path, or a ready
+:class:`ResultCache`.
 """
 
 from __future__ import annotations
@@ -41,15 +28,13 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.serde import canonical_json
 
 
-class CacheTier:
-    """What the campaign engine needs from a cache.
-
-    Contract, identical at every tier:
+class ResultCache:
+    """Directory-backed map from job key to cached result payload.
 
     - ``lookup(key) -> (hit, result)`` -- corrupt or unreadable entries
       are misses, never errors; malformed *keys* still raise.
@@ -60,43 +45,9 @@ class CacheTier:
       :meth:`manifests`) that make sweeps crash-resumable.
     """
 
-    read_only: bool = False
-
-    def lookup(self, key: str) -> Tuple[bool, Any]:
-        raise NotImplementedError
-
-    def store(self, key: str, result: Any,
-              meta: Optional[Dict[str, Any]] = None) -> Optional[str]:
-        raise NotImplementedError
-
-    def store_manifest(self, name: str,
-                       payload: Dict[str, Any]) -> Optional[str]:
-        raise NotImplementedError
-
-    def load_manifest(self, name: str) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def manifests(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self.lookup(key)[0]
-
-
-class ResultCache(CacheTier):
-    """Directory-backed map from job key to cached result payload."""
-
-    def __init__(self, root: str, read_only: bool = False) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.read_only = bool(read_only)
-        if not self.read_only:
-            os.makedirs(self.root, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -118,11 +69,9 @@ class ResultCache(CacheTier):
         return True, payload["result"]
 
     def store(self, key: str, result: Any,
-              meta: Optional[Dict[str, Any]] = None) -> Optional[str]:
+              meta: Optional[Dict[str, Any]] = None) -> str:
         """Atomically persist ``result`` (plus job metadata for humans
         spelunking the cache directory); returns the entry path."""
-        if self.read_only:
-            return None
         path = self._path(key)
         payload = {"key": key, "result": result}
         if meta:
@@ -153,17 +102,14 @@ class ResultCache(CacheTier):
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
         return os.path.join(self.root, "manifests", f"{digest}.json")
 
-    def store_manifest(self, name: str,
-                       payload: Dict[str, Any]) -> Optional[str]:
+    def store_manifest(self, name: str, payload: Dict[str, Any]) -> str:
         """Atomically persist a campaign manifest under ``name``.
 
         The manifest is what makes a campaign *resumable*: it records
         the full job list (ref/config/seed/name) plus the executor salt,
         so :meth:`repro.farm.Campaign.resume` can rebuild the identical
-        key set after a crash and let cache hits skip completed shards.
+        key set after a crash and let cache hits skip completed jobs.
         """
-        if self.read_only:
-            return None
         return self._atomic_write(self._manifest_path(name),
                                   {"name": name, **payload})
 
@@ -217,159 +163,31 @@ class ResultCache(CacheTier):
                 if entry.endswith(".json"):
                     yield entry[:-len(".json")]
 
+    def __len__(self) -> int:
+        return sum(1 for _ in self.keys())
+
+    def __contains__(self, key: str) -> bool:
+        return self.lookup(key)[0]
+
     def __repr__(self) -> str:
         return f"ResultCache({self.root!r}, {len(self)} entries)"
 
 
-class SharedDirectoryCache(ResultCache):
-    """The remote tier: the same layout on a shared directory.
+CacheLike = Union[None, str, os.PathLike, ResultCache]
 
-    The sha256 content addressing already makes entries
-    location-independent, so "remote" is just a directory every host can
-    mount.  Lookups are identical to the local tier (corrupt entries are
-    misses).  Stores differ in one way: they are *best-effort* -- an
-    unwritable or flaky mount downgrades this tier to read-only for the
-    failing call instead of killing the campaign, because losing a
-    write-back only costs a future cache miss, never correctness.
+
+def as_cache_tier(cache: CacheLike) -> Optional[ResultCache]:
+    """Coerce every accepted ``cache=`` spelling to a cache (or None).
+
+    ``None`` stays None (no caching); a path becomes a
+    :class:`ResultCache`; a ready :class:`ResultCache` passes through.
     """
-
-    def __init__(self, root: str, read_only: bool = False) -> None:
-        self.root = str(root)
-        self.read_only = bool(read_only)
-        if not self.read_only:
-            try:
-                os.makedirs(self.root, exist_ok=True)
-            except OSError:
-                self.read_only = True
-
-    def store(self, key: str, result: Any,
-              meta: Optional[Dict[str, Any]] = None) -> Optional[str]:
-        try:
-            return super().store(key, result, meta)
-        except OSError:
-            return None
-
-    def store_manifest(self, name: str,
-                       payload: Dict[str, Any]) -> Optional[str]:
-        try:
-            return super().store_manifest(name, payload)
-        except OSError:
-            return None
-
-    def __repr__(self) -> str:
-        return f"SharedDirectoryCache({self.root!r})"
-
-
-class TieredCache(CacheTier):
-    """Read-through / write-back stack of :class:`CacheTier` objects.
-
-    ``lookup`` tries tiers in order; a hit in a later (slower) tier is
-    written back into every earlier tier so the next lookup is local.
-    ``store`` writes through every writable tier.  Manifests store to
-    all tiers and load from the first tier that has an intact copy, so
-    a campaign can resume on a host that only shares the remote tier.
-    """
-
-    def __init__(self, tiers: Sequence[CacheTier]) -> None:
-        flat: List[CacheTier] = []
-        for tier in tiers:
-            if isinstance(tier, TieredCache):
-                flat.extend(tier.tiers)
-            else:
-                flat.append(tier)
-        if not flat:
-            raise ValueError("TieredCache needs at least one tier")
-        self.tiers: List[CacheTier] = flat
-
-    @property
-    def read_only(self) -> bool:  # type: ignore[override]
-        return all(tier.read_only for tier in self.tiers)
-
-    def lookup(self, key: str) -> Tuple[bool, Any]:
-        for position, tier in enumerate(self.tiers):
-            hit, result = tier.lookup(key)
-            if hit:
-                # Promote the hit into the faster tiers it missed in.
-                for earlier in self.tiers[:position]:
-                    earlier.store(key, result)
-                return True, result
-        return False, None
-
-    def store(self, key: str, result: Any,
-              meta: Optional[Dict[str, Any]] = None) -> Optional[str]:
-        path = None
-        for tier in self.tiers:
-            written = tier.store(key, result, meta)
-            if path is None:
-                path = written
-        return path
-
-    def store_manifest(self, name: str,
-                       payload: Dict[str, Any]) -> Optional[str]:
-        path = None
-        for tier in self.tiers:
-            written = tier.store_manifest(name, payload)
-            if path is None:
-                path = written
-        return path
-
-    def load_manifest(self, name: str) -> Dict[str, Any]:
-        for tier in self.tiers:
-            try:
-                return tier.load_manifest(name)
-            except KeyError:
-                continue
-        raise KeyError(f"no campaign manifest named {name!r} "
-                       f"in any of {len(self.tiers)} cache tiers")
-
-    def manifests(self) -> Iterator[str]:
-        seen = set()
-        for tier in self.tiers:
-            for name in tier.manifests():
-                if name not in seen:
-                    seen.add(name)
-                    yield name
-
-    def keys(self) -> Iterator[str]:
-        seen = set()
-        for tier in self.tiers:
-            for key in tier.keys():
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
-    def __repr__(self) -> str:
-        return f"TieredCache({self.tiers!r})"
-
-
-CacheLike = Union[None, str, os.PathLike, CacheTier,
-                  Sequence[Union[str, os.PathLike, CacheTier]]]
-
-
-def as_cache_tier(cache: CacheLike) -> Optional[CacheTier]:
-    """Coerce every accepted ``cache=`` spelling to a tier (or None).
-
-    ``None`` stays None (no caching); a path becomes a local
-    :class:`ResultCache`; a ready :class:`CacheTier` passes through; a
-    list/tuple composes into a :class:`TieredCache` in the given order
-    (first = fastest/local, last = remote).
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, CacheTier):
+    if cache is None or isinstance(cache, ResultCache):
         return cache
     if isinstance(cache, (str, os.PathLike)):
         return ResultCache(os.fspath(cache))
-    if isinstance(cache, (list, tuple)):
-        tiers = [as_cache_tier(item) for item in cache]
-        missing = [i for i, tier in enumerate(tiers) if tier is None]
-        if missing:
-            raise TypeError(f"cache tier list contains None at "
-                            f"position(s) {missing}")
-        return TieredCache(tiers)  # type: ignore[arg-type]
-    raise TypeError(f"cannot interpret {cache!r} as a cache tier "
-                    f"(expected None, path, CacheTier, or list of them)")
+    raise TypeError(f"cannot interpret {cache!r} as a result cache "
+                    f"(expected None, a directory path or a ResultCache)")
 
 
-__all__ = ["CacheTier", "ResultCache", "SharedDirectoryCache",
-           "TieredCache", "as_cache_tier"]
+__all__ = ["ResultCache", "as_cache_tier"]

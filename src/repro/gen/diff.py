@@ -174,11 +174,11 @@ def run_fuzz_campaign(count: int, base_seed: int = 0,
     """Sweep ``count`` seeds through :func:`differential_job` as a farm
     campaign; kinds alternate across seeds.  Execution policy comes
     from ``executor=`` and/or the uniform farm keywords (``jobs=``,
-    ``backend=``, ``cache=``, ``shards=``, ...).  Everything in the
+    ``backend=``, ``cache=``, ``timeout=``, ...).  Everything in the
     report except ``stats`` (operational telemetry: worker count, cache
     hits, wall time) is deterministic -- ``aggregate_sha`` in
-    particular is byte-identical across ``jobs=1``, any backend/shard
-    combination and warm-cache re-runs."""
+    particular is byte-identical across ``jobs=1``, any backend and
+    warm-cache re-runs."""
     from repro.farm.engine import resolve_executor
     campaign = Campaign.build(name,
                               executor=resolve_executor(executor, **farm))

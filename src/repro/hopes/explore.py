@@ -161,13 +161,13 @@ def explore_architectures(app_factory: Callable[[], CICApplication],
     errors -- an explorer must survive bad corners of the space.
 
     With a :class:`repro.farm.Executor` -- or any of the uniform farm
-    keywords (``jobs=``, ``backend=``, ``cache=``, ``shards=``, ...) --
+    keywords (``jobs=``, ``backend=``, ``cache=``, ``timeout=``, ...) --
     candidates are evaluated as a farm campaign (parallel workers,
     result cache) instead of the serial in-process loop; ``app_factory``
     must then be a module-level function, and the result is identical to
     the serial path point for point.  Exploration is a batch of
     independent platform evaluations (the ANDROMEDA/MPPSoCGen framing),
-    so the sweep shards cleanly.
+    so the sweep parallelizes cleanly.
     """
     from repro.farm.engine import resolve_executor
     executor = resolve_executor(executor, **farm)

@@ -72,7 +72,7 @@ def run_warm_campaign(snapshot: Any, seeds: Any, *,
 
     The snapshot (object or dict) is embedded in every job config;
     execution policy comes from ``executor=`` and/or the uniform farm
-    keywords (``jobs=``, ``backend=``, ``cache=``, ``shards=``, ...).
+    keywords (``jobs=``, ``backend=``, ``cache=``, ``timeout=``, ...).
     Returns the :class:`repro.farm.CampaignResult` (failures raised).
     """
     from repro.farm.engine import Campaign, resolve_executor

@@ -197,7 +197,7 @@ class TestCampaignInline:
         assert result.results == [{"v": 3}]
 
     def test_cache_warm_rerun_executes_zero_jobs(self, tmp_path):
-        executor = Executor(jobs=1, cache_dir=str(tmp_path))
+        executor = Executor(jobs=1, cache=str(tmp_path))
         specs = [({"x": x}, 0) for x in range(4)]
         cold = sweep(job_square, specs, executor=executor)
         warm = sweep(job_square, specs, executor=executor)
@@ -208,10 +208,10 @@ class TestCampaignInline:
     def test_executor_salt_invalidates_cache(self, tmp_path):
         specs = [({"x": 2}, 0)]
         sweep(job_square, specs,
-              executor=Executor(cache_dir=str(tmp_path)))
+              executor=Executor(cache=str(tmp_path)))
         salted = sweep(
             job_square, specs,
-            executor=Executor(cache_dir=str(tmp_path), salt="v2"))
+            executor=Executor(cache=str(tmp_path), salt="v2"))
         assert salted.executed == 1  # different salt, no hit
 
     def test_metrics_and_sink_telemetry(self):
@@ -259,9 +259,9 @@ class TestCampaignPool:
     def test_pool_shares_the_cache(self, tmp_path):
         specs = [({"x": x}, 0) for x in range(4)]
         cold = sweep(job_square, specs,
-                     executor=Executor(jobs=2, cache_dir=str(tmp_path)))
+                     executor=Executor(jobs=2, cache=str(tmp_path)))
         warm = sweep(job_square, specs,
-                     executor=Executor(jobs=2, cache_dir=str(tmp_path)))
+                     executor=Executor(jobs=2, cache=str(tmp_path)))
         assert cold.executed == 4
         assert warm.executed == 0 and warm.cached == 4
         assert warm.aggregate_json() == cold.aggregate_json()
@@ -297,7 +297,7 @@ class TestCampaignPool:
 
     def test_crash_blame_never_starves_innocent_siblings(self):
         # With retries=0 a single misattributed crash would fail an
-        # innocent job; the isolation re-run must protect them all.
+        # innocent job; one job per worker must protect them all.
         campaign = Campaign("blame", executor=Executor(jobs=3, retries=0))
         campaign.add(job_die, config=None, seed=0)
         for x in range(4):

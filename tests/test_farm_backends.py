@@ -1,12 +1,10 @@
-"""Tests for the pluggable executor backends (`repro.farm.backends`)
-and composable cache tiers (`repro.farm.cache`).
+"""Tests for the executor backends (`repro.farm.backends`).
 
-The contract under test: any backend (inline oracle, fork pool,
-persistent daemons) under any shard schedule and any cache tier stack
-produces an aggregate byte-identical to the ``jobs=1`` in-process
-reference -- cold and warm -- while daemons additionally keep worker
-state warm across campaigns, attribute crashes exactly, and kill
-timed-out jobs without collateral.
+The contract under test: the persistent daemon backend produces an
+aggregate byte-identical to the ``jobs=1`` in-process reference --
+cold and warm -- while keeping worker state warm across campaigns,
+attributing crashes exactly, and killing timed-out jobs without
+collateral.  ``auto`` with ``jobs > 1`` resolves to it.
 """
 
 import multiprocessing
@@ -15,18 +13,12 @@ import time
 
 import pytest
 
-from repro.core.serde import ReproDeprecationWarning
 from repro.farm import (
     FAILURE_CRASH, FAILURE_TIMEOUT, Campaign, Executor, ResultCache,
-    SharedDirectoryCache, TieredCache, as_cache_tier, fork_available,
-    job_key, make_backend, require_fork, resolve_executor, run_campaign,
-    shutdown_daemons,
+    as_cache_tier, fork_available, make_backend, require_fork,
+    resolve_executor, shutdown_daemons,
 )
 from repro.farm.backends.daemon import warm_worker_pids
-from repro.farm.backends.shards import (
-    JobPlanner, ShardedPlanner, make_planner,
-)
-from repro.farm.job import Job, JobOutcome
 from repro.faults import FaultPlan
 from repro.vp.soc import SoC, SoCConfig
 
@@ -52,17 +44,24 @@ def job_die(config, seed):
 def job_die_once(config, seed):
     # Crashes the worker on the first attempt only: the flag file
     # records that the crash already happened, so the retry succeeds.
-    flag = config["flag"]
-    if not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("crashed")
-        os._exit(23)
-    return {"survived": seed}
+    # O_CREAT | O_EXCL claims the flag atomically, so when several warm
+    # workers start at once exactly one of them crashes.
+    try:
+        os.close(os.open(config["flag"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return {"survived": seed}
+    os._exit(23)
 
 
 def job_sleep(config, seed):
     time.sleep(config["seconds"])
     return {"slept": config["seconds"]}
+
+
+def job_pid(config, seed):
+    # Holds its worker briefly so both workers of a 2-wide pool serve.
+    time.sleep(0.05)
+    return {"pid": os.getpid()}
 
 
 _WARM_MEMO = {}
@@ -106,11 +105,6 @@ def _fault_specs(n=6):
               .to_dict()}, seed) for seed in range(n)]
 
 
-def _outcomes(n):
-    return [JobOutcome(i, Job.build(job_cube, config={"x": i}, seed=i),
-                       job_key("m:f", {"x": i}, i)) for i in range(n)]
-
-
 def sweep(fn, specs, name="campaign", **policy):
     campaign = Campaign.build(name, **policy)
     campaign.extend(fn, specs)
@@ -122,7 +116,7 @@ needs_fork = pytest.mark.skipif(not fork_available(),
 
 
 # ---------------------------------------------------------------------------
-# Cache tiers
+# Cache coercion
 # ---------------------------------------------------------------------------
 
 class TestCacheTiers:
@@ -131,137 +125,10 @@ class TestCacheTiers:
         local = ResultCache(str(tmp_path / "a"))
         assert as_cache_tier(local) is local
         assert isinstance(as_cache_tier(str(tmp_path / "b")), ResultCache)
-        tiered = as_cache_tier([str(tmp_path / "c"), str(tmp_path / "d")])
-        assert isinstance(tiered, TieredCache)
+        with pytest.raises(TypeError):
+            as_cache_tier([str(tmp_path / "c"), str(tmp_path / "d")])
         with pytest.raises(TypeError):
             as_cache_tier(42)
-
-    def test_read_through_promotes_into_earlier_tiers(self, tmp_path):
-        local = ResultCache(str(tmp_path / "local"))
-        shared = ResultCache(str(tmp_path / "shared"))
-        key = job_key("m:f", {"x": 1}, 0)
-        shared.store(key, {"value": 7})
-        tiered = TieredCache([local, shared])
-        assert local.lookup(key) == (False, None)
-        assert tiered.lookup(key) == (True, {"value": 7})
-        # the shared hit was written back into the local tier
-        assert local.lookup(key) == (True, {"value": 7})
-
-    def test_store_writes_through_every_tier(self, tmp_path):
-        local = ResultCache(str(tmp_path / "local"))
-        shared = ResultCache(str(tmp_path / "shared"))
-        key = job_key("m:f", {"x": 2}, 0)
-        TieredCache([local, shared]).store(key, {"value": 9})
-        assert local.lookup(key) == (True, {"value": 9})
-        assert shared.lookup(key) == (True, {"value": 9})
-
-    def test_corrupt_local_entry_falls_through_to_shared(self, tmp_path):
-        local = ResultCache(str(tmp_path / "local"))
-        shared = ResultCache(str(tmp_path / "shared"))
-        key = job_key("m:f", {"x": 3}, 0)
-        local.store(key, {"value": 1})
-        shared.store(key, {"value": 1})
-        [path] = [os.path.join(root, name) for root, _, names
-                  in os.walk(tmp_path / "local") for name in names]
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        assert TieredCache([local, shared]).lookup(key) \
-            == (True, {"value": 1})
-
-    def test_manifests_store_to_all_and_load_from_first_intact(
-            self, tmp_path):
-        local = ResultCache(str(tmp_path / "local"))
-        shared = ResultCache(str(tmp_path / "shared"))
-        tiered = TieredCache([local, shared])
-        tiered.store_manifest("sweep", {"salt": "", "jobs": []})
-        assert local.load_manifest("sweep")["jobs"] == []
-        assert shared.load_manifest("sweep")["jobs"] == []
-        assert "sweep" in list(tiered.manifests())
-        with pytest.raises(KeyError):
-            tiered.load_manifest("nope")
-
-    def test_shared_tier_is_best_effort(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        # the cache root cannot be created: degrade to read-only misses
-        # instead of failing the campaign
-        cache = SharedDirectoryCache(str(blocker / "cache"))
-        assert cache.read_only
-        key = job_key("m:f", {"x": 1}, 0)
-        assert cache.store(key, {"value": 1}) is None
-        assert cache.lookup(key) == (False, None)
-        assert cache.store_manifest("sweep", {"salt": "", "jobs": []}) \
-            is None
-
-    def test_campaign_runs_through_a_tier_stack(self, tmp_path):
-        local, shared = str(tmp_path / "local"), str(tmp_path / "shared")
-        cold = sweep(job_cube, [({"x": x}, 0) for x in range(4)],
-                     cache=[local, shared])
-        # wipe the local tier: the shared tier alone must warm the rerun
-        warm = sweep(job_cube, [({"x": x}, 0) for x in range(4)],
-                     cache=[str(tmp_path / "fresh-local"), shared])
-        assert cold.executed == 4
-        assert warm.executed == 0 and warm.cached == 4
-        assert warm.aggregate_json() == cold.aggregate_json()
-
-
-# ---------------------------------------------------------------------------
-# Shard planners
-# ---------------------------------------------------------------------------
-
-class TestShardPlanner:
-    def test_contiguous_chunking(self):
-        planner = ShardedPlanner(_outcomes(7), shards=3, width=3)
-        sizes = [len(shard) for shard in planner.shards]
-        assert sizes == [3, 2, 2]
-        assert [o.index for o in planner.shards[0]] == [0, 1, 2]
-        assert [o.index for o in planner.shards[2]] == [5, 6]
-
-    def test_home_slot_drains_in_submission_order(self):
-        planner = ShardedPlanner(_outcomes(4), shards=2, width=2)
-        assert planner.take(0).index == 0
-        assert planner.take(1).index == 2
-        assert planner.take(0).index == 1
-        assert planner.take(1).index == 3
-        assert planner.take(0) is None
-
-    def test_dry_home_steals_from_most_loaded_tail(self):
-        planner = ShardedPlanner(_outcomes(6), shards=2, width=2)
-        # drain shard 1 (indices 3..5) so slot 1 must steal from shard 0
-        assert [planner.take(1).index for _ in range(3)] == [3, 4, 5]
-        stolen = planner.take(1)
-        assert stolen.index == 2  # tail of shard 0, not its head
-        assert planner.stats() == {"shards": 2, "steals": 1}
-        assert planner.take(0).index == 0  # home order undisturbed
-
-    def test_static_partition_never_steals(self):
-        planner = ShardedPlanner(_outcomes(4), shards=2, width=2,
-                                 steal=False)
-        assert [planner.take(1).index for _ in range(2)] == [2, 3]
-        assert planner.take(1) is None
-        assert planner.remaining == 2
-        assert planner.stats()["steals"] == 0
-
-    def test_requeue_returns_to_home_shard(self):
-        planner = ShardedPlanner(_outcomes(4), shards=2, width=2)
-        outcome = planner.take(1)
-        assert outcome.index == 2
-        planner.requeue(outcome)
-        assert [o.index for o in planner.shards[1]] == [3, 2]
-
-    def test_shard_bounds_are_validated(self):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedPlanner(_outcomes(4), shards=0, width=2)
-        with pytest.raises(ValueError, match="exceeds worker width"):
-            ShardedPlanner(_outcomes(4), shards=3, width=2)
-
-    def test_make_planner_defaults_to_fifo(self):
-        assert type(make_planner(_outcomes(3), width=2, shards=None)) \
-            is JobPlanner
-        assert type(make_planner(_outcomes(3), width=2, shards=1)) \
-            is JobPlanner
-        assert type(make_planner(_outcomes(3), width=2, shards=2)) \
-            is ShardedPlanner
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +146,19 @@ class TestExecutorResolution:
         assert merged.backend == "daemon" and merged.retries == 3
         assert base.backend == "auto"  # baseline untouched
 
-    def test_cache_override_clears_legacy_cache_dir(self, tmp_path):
-        base = Executor(cache_dir=str(tmp_path / "old"))
-        merged = resolve_executor(base, cache=str(tmp_path / "new"))
-        assert merged.cache_dir is None
-        assert merged.cache == str(tmp_path / "new")
-
     def test_auto_backend_resolution(self):
         assert Executor(jobs=1).resolved_backend() == "inline"
-        assert Executor(jobs=4).resolved_backend() == "fork"
+        assert Executor(jobs=4).resolved_backend() == "daemon"
         assert Executor(jobs=4, backend="daemon").resolved_backend() \
             == "daemon"
         assert Executor(jobs=4).width() == 4
         assert Executor(jobs=4, backend="inline").width() == 1
 
-    def test_executor_validation(self, tmp_path):
+    def test_executor_validation(self):
         with pytest.raises(ValueError, match="unknown backend"):
             Executor(backend="threads")
-        with pytest.raises(ValueError, match="shards"):
-            Executor(shards=0)
-        with pytest.raises(ValueError, match="not both"):
-            Executor(cache=str(tmp_path / "a"),
-                     cache_dir=str(tmp_path / "b"))
+        with pytest.raises(ValueError, match="unknown backend"):
+            Executor(backend="fork")
 
     def test_make_backend_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -308,32 +166,13 @@ class TestExecutorResolution:
 
     def test_capability_records(self):
         inline = make_backend("inline", 1)
-        assert inline.capabilities.in_process
-        assert not inline.capabilities.warm_state
-        fork = make_backend("fork", 2)
+        assert inline.kind == "inline" and inline.in_process
+        daemon = make_backend("daemon", 2)
         try:
-            assert fork.capabilities.kind == "fork"
-            assert not fork.capabilities.timeout_kill
+            assert daemon.kind == "daemon" and not daemon.in_process
+            assert daemon.width == 2
         finally:
-            fork.teardown()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated delegates
-# ---------------------------------------------------------------------------
-
-class TestDeprecatedDelegates:
-    def test_run_campaign_warns_and_still_works(self):
-        with pytest.warns(ReproDeprecationWarning, match="run_campaign"):
-            result = run_campaign(job_cube, [({"x": 2}, 1)])
-        assert result.results == [{"value": 9}]
-
-    def test_from_manifest_warns_and_still_works(self, tmp_path):
-        sweep(job_cube, [({"x": 2}, 0)], name="sweep",
-              cache=str(tmp_path))
-        with pytest.warns(ReproDeprecationWarning, match="from_manifest"):
-            rebuilt = Campaign.from_manifest(str(tmp_path), "sweep")
-        assert rebuilt.run().cached == 1
+            daemon.teardown()
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +220,19 @@ class TestDaemonBackend:
         warm = sweep(job_warm_probe, [(None, 1)], backend="daemon")
         assert cold.results == [{"warm": False}]
         assert warm.results == [{"warm": True}]
-        # a fresh fork pool re-forks from the (untouched) parent, so its
-        # first-executed job is always cold, even after daemon campaigns
-        forked = sweep(job_warm_probe, [(None, 2)], jobs=2)
-        assert forked.results == [{"warm": False}]
+
+    def test_auto_campaigns_reuse_the_same_warm_workers(self):
+        # Two back-to-back campaigns with the backend left at ``auto``
+        # run on the same persistent worker processes.
+        shutdown_daemons()
+        first = sweep(job_pid, [(None, seed) for seed in range(4)], jobs=2)
+        second = sweep(job_pid, [(None, seed) for seed in range(4)],
+                       jobs=2)
+        first_pids = {row["pid"] for row in first.results}
+        second_pids = {row["pid"] for row in second.results}
+        assert os.getpid() not in first_pids
+        assert first_pids == second_pids
+        assert len(first_pids) <= 2
 
     def test_crash_is_attributed_without_suspects(self):
         campaign = Campaign.build("daemon-crash", jobs=2,
@@ -424,15 +272,13 @@ class TestDaemonBackend:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity matrix: every backend/shard/cache combination must
-# reproduce the inline jobs=1 aggregate bit-for-bit, cold and warm.
+# Byte-identity matrix: the daemon backend must reproduce the inline
+# jobs=1 aggregate bit-for-bit, cold and warm.
 # ---------------------------------------------------------------------------
 
 MATRIX = [
-    {"jobs": 2, "backend": "fork"},
+    {"jobs": 2},                       # auto: the daemon backend
     {"jobs": 2, "backend": "daemon"},
-    {"jobs": 2, "backend": "daemon", "shards": 2},
-    {"jobs": 2, "backend": "fork", "shards": 2, "steal": False},
 ]
 
 
@@ -460,32 +306,32 @@ class TestByteIdentityMatrix:
         daemon = explore_architectures(
             _explore_app, smp_candidates(2), iterations=6,
             jobs=2, backend="daemon", cache=str(tmp_path))
-        sharded = explore_architectures(
+        warm = explore_architectures(
             _explore_app, smp_candidates(2), iterations=6,
-            jobs=2, shards=2)
+            jobs=2, cache=str(tmp_path))
         assert daemon.to_json() == serial.to_json()
-        assert sharded.to_json() == serial.to_json()
+        assert warm.to_json() == serial.to_json()
 
     def test_fuzz_campaign_across_backends(self):
         from repro.gen import run_fuzz_campaign
         serial = run_fuzz_campaign(4, kinds=("expr",))
         daemon = run_fuzz_campaign(4, kinds=("expr",), jobs=2,
                                    backend="daemon")
-        sharded = run_fuzz_campaign(4, kinds=("expr",), jobs=2, shards=2)
+        auto = run_fuzz_campaign(4, kinds=("expr",), jobs=2)
         assert serial["divergences"] == 0
         assert daemon["aggregate_sha"] == serial["aggregate_sha"]
-        assert sharded["aggregate_sha"] == serial["aggregate_sha"]
+        assert auto["aggregate_sha"] == serial["aggregate_sha"]
 
     def test_daemon_resume_after_interruption_is_byte_identical(
             self, tmp_path):
         # Simulate a campaign interrupted mid-sweep: the manifest is
-        # persisted, only half the shards completed.  Resuming on the
+        # persisted, only half the jobs completed.  Resuming on the
         # daemon backend executes exactly the remainder and reproduces
         # the uninterrupted aggregate.
         full = Campaign.build("interrupted", cache=str(tmp_path))
         full.extend(fault_job, _fault_specs(6))
-        as_cache_tier(str(tmp_path)).store_manifest("interrupted",
-                                                    full.manifest())
+        ResultCache(str(tmp_path)).store_manifest("interrupted",
+                                                  full.manifest())
         partial = Campaign.build("partial", cache=str(tmp_path))
         partial.extend(fault_job, _fault_specs(3))
         partial.run()

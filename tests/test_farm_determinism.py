@@ -61,7 +61,7 @@ class TestExplorationDeterminism:
                                        iterations=8)
         farmed = explore_architectures(
             exploration_app, _candidates(), iterations=8,
-            executor=Executor(jobs=WORKERS, cache_dir=str(tmp_path)))
+            executor=Executor(jobs=WORKERS, cache=str(tmp_path)))
         assert farmed.to_json() == serial.to_json()
         assert farmed.pareto and farmed.points
 
@@ -69,11 +69,11 @@ class TestExplorationDeterminism:
         cold_metrics, warm_metrics = MetricsRegistry(), MetricsRegistry()
         cold = explore_architectures(
             exploration_app, _candidates(), iterations=8,
-            executor=Executor(jobs=WORKERS, cache_dir=str(tmp_path),
+            executor=Executor(jobs=WORKERS, cache=str(tmp_path),
                               metrics=cold_metrics))
         warm = explore_architectures(
             exploration_app, _candidates(), iterations=8,
-            executor=Executor(jobs=1, cache_dir=str(tmp_path),
+            executor=Executor(jobs=1, cache=str(tmp_path),
                               metrics=warm_metrics))
         assert cold_metrics.counter("farm.jobs.executed").value \
             == len(_candidates())
@@ -141,7 +141,7 @@ class TestFaultCampaignDeterminism:
         assert all(row["halted"] for row in serial.results)
 
     def test_cache_warm_rerun_executes_zero_jobs(self, tmp_path):
-        executor = Executor(jobs=WORKERS, cache_dir=str(tmp_path))
+        executor = Executor(jobs=WORKERS, cache=str(tmp_path))
         cold = run_fault_campaign(fault_scenario, _plans(),
                                   executor=executor)
         warm = run_fault_campaign(fault_scenario, _plans(),
@@ -181,7 +181,7 @@ def test_annealing_restarts_identical_across_worker_counts(tmp_path):
                                                restarts=4, iterations=60)
     farmed = map_task_graph_annealing_restarts(
         graph, platform, restarts=4, iterations=60,
-        executor=Executor(jobs=WORKERS, cache_dir=str(tmp_path)))
+        executor=Executor(jobs=WORKERS, cache=str(tmp_path)))
     assert farmed.runs == serial.runs
     assert farmed.best_seed == serial.best_seed
     assert farmed.best.makespan == serial.best.makespan

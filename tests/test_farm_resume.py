@@ -56,7 +56,7 @@ def _specs(n=6):
 
 class TestManifest:
     def test_run_persists_manifest_before_dispatch(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="v3")
+        executor = Executor(cache=str(tmp_path), salt="v3")
         sweep(job_add, _specs(3), executor=executor, name="sweep")
         cache = ResultCache(str(tmp_path))
         manifest = cache.load_manifest("sweep")
@@ -72,12 +72,12 @@ class TestManifest:
             ResultCache(str(tmp_path)).load_manifest("nope")
 
     def test_manifest_files_do_not_pollute_result_keys(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path))
+        executor = Executor(cache=str(tmp_path))
         sweep(job_add, _specs(2), executor=executor, name="sweep")
         assert len(ResultCache(str(tmp_path))) == 2  # results only
 
     def test_build_resume_from_rebuilds_identical_campaign(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="s1")
+        executor = Executor(cache=str(tmp_path), salt="s1")
         original = Campaign("sweep", executor=executor)
         original.extend(job_add, _specs(4))
         original.run()
@@ -94,7 +94,7 @@ class TestManifest:
 
 class TestResume:
     def test_resume_executes_only_incomplete_jobs(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path))
+        executor = Executor(cache=str(tmp_path))
         full = Campaign("sweep", executor=executor)
         full.extend(job_add, _specs(6))
         # Simulate a crash after three shards: persist the full manifest
@@ -111,12 +111,12 @@ class TestResume:
         assert resumed.aggregate_json() == reference.aggregate_json()
 
     def test_resume_executor_override_keeps_cache_and_salt(self, tmp_path):
-        executor = Executor(cache_dir=str(tmp_path), salt="pinned")
+        executor = Executor(cache=str(tmp_path), salt="pinned")
         sweep(job_add, _specs(3), executor=executor, name="sweep")
         resumed = Campaign.resume(
             str(tmp_path), "sweep",
-            executor=Executor(jobs=1, cache_dir="/nonexistent", salt="x"))
-        # cache_dir and salt come from the manifest, not the override
+            executor=Executor(jobs=1, cache="/nonexistent", salt="x"))
+        # the cache and salt come from the manifest, not the override
         assert resumed.cached == 3 and resumed.executed == 0
 
     def test_sigkilled_pool_campaign_resumes_byte_identical(self, tmp_path):
@@ -124,7 +124,7 @@ class TestResume:
         process group mid-sweep, then Campaign.resume() it in-process:
         only the incomplete shards execute and the aggregate is
         byte-identical to a never-interrupted run."""
-        cache_dir = str(tmp_path / "cache")
+        cache_root = str(tmp_path / "cache")
         gate = str(tmp_path / "gate")
         with open(gate, "w") as handle:
             handle.write("hold")
@@ -137,7 +137,7 @@ class TestResume:
             from repro.farm import Campaign, Executor
             campaign = Campaign("killed",
                                 executor=Executor(jobs=4,
-                                                  cache_dir={cache_dir!r}))
+                                                  cache={cache_root!r}))
             for x in range(8):
                 config = {{"x": x, "gate": {gate!r} if x >= 4 else None}}
                 campaign.add(jobs.job_gate, config=config, seed=x)
@@ -146,7 +146,7 @@ class TestResume:
         proc = subprocess.Popen([sys.executable, "-c", script],
                                 start_new_session=True)
         try:
-            cache = ResultCache(cache_dir)
+            cache = ResultCache(cache_root)
             deadline = time.monotonic() + 60
             # the four ungated jobs complete and hit the cache; the four
             # gated ones occupy every worker, pinned mid-flight
@@ -163,7 +163,7 @@ class TestResume:
             if os.path.exists(gate):
                 os.remove(gate)
 
-        resumed = Campaign.resume(cache_dir, "killed",
+        resumed = Campaign.resume(cache_root, "killed",
                                   executor=Executor(jobs=1))
         assert resumed.ok
         assert resumed.cached >= 4

@@ -203,7 +203,7 @@ class TestSoCFaults:
                 .flip_ram_bit(addr=10, bit=0, at=1.0)
                 .flip_register(core=0, reg=2, bit=4, at=2.0))
         inj = FaultInjector(sim, plan)
-        soc.attach_faults(inj)
+        soc.instrument(faults=inj)
         sim.run(until=5.0)
         assert soc.ram.words[10] == 0b1001
         assert soc.cores[0].regs[2] == 1 | (1 << 4)
@@ -216,7 +216,7 @@ class TestSoCFaults:
                 .flip_ram_bit(addr=10_000, bit=0, at=1.0)
                 .flip_register(core=0, reg=0, bit=1, at=1.5))  # r0 hardwired
         inj = FaultInjector(sim, plan)
-        soc.attach_faults(inj)
+        soc.instrument(faults=inj)
         sim.run(until=5.0)
         assert len(inj.unhandled) == 2
 
@@ -225,7 +225,7 @@ class TestSoCFaults:
         soc = self._make_soc(sim)
         line = soc.cores[0].irq
         inj = FaultInjector(sim, FaultPlan().stick_interrupt(0, at=1.0))
-        soc.attach_faults(inj)
+        soc.instrument(faults=inj)
         sim.run(until=2.0)
         assert line.read() == 1
         line.write(0)  # a handler tries to clear it...
@@ -240,7 +240,7 @@ class TestSoCFaults:
         line = soc.cores[0].irq
         inj = FaultInjector(sim, FaultPlan().stick_interrupt(
             0, at=1.0, duration=4.0))
-        soc.attach_faults(inj)
+        soc.instrument(faults=inj)
         sim.run(until=2.0)
         assert line.read() == 1
         sim.run(until=10.0)

@@ -168,9 +168,9 @@ class TestFuzzCampaign:
         cache = str(tmp_path / "farm")
         serial = run_fuzz_campaign(6, base_seed=100)
         parallel = run_fuzz_campaign(
-            6, base_seed=100, executor=Executor(jobs=2, cache_dir=cache))
+            6, base_seed=100, executor=Executor(jobs=2, cache=cache))
         warm = run_fuzz_campaign(
-            6, base_seed=100, executor=Executor(jobs=1, cache_dir=cache))
+            6, base_seed=100, executor=Executor(jobs=1, cache=cache))
         assert serial["aggregate_sha"] == parallel["aggregate_sha"]
         assert serial["aggregate_sha"] == warm["aggregate_sha"]
         assert warm["stats"]["cached"] == 6  # replayed from the cache

@@ -2,9 +2,9 @@
 
 One call attaches any combination of observability, the race sanitizer
 and fault injection, returning an :class:`~repro.vp.soc.Instrumentation`
-handle bundle.  The legacy ``attach_observability`` /
-``attach_sanitizer`` / ``attach_faults`` entry points are thin
-delegates and must behave exactly as before.
+handle bundle.  Every accepted spelling of an attachment (a bare
+sink, ``True``, an options dict, a ready injector or a plan) must
+behave identically.
 """
 
 import pytest
@@ -185,45 +185,46 @@ class TestBackendDowngrade:
         assert handle.metrics is None  # no registry even created
 
 
-class TestLegacyDelegates:
-    def test_attach_observability_returns_tracer_and_probe(self):
+class TestAttachmentSpellings:
+    def test_obs_sink_returns_tracer_and_probe(self):
         soc = make_soc()
         sink = TraceSink()
-        tracer, probe = soc.attach_observability(sink)
+        handle = soc.instrument(obs=sink)
+        tracer, probe = handle.tracer, handle.probe
         assert isinstance(tracer, Tracer)
         assert tracer.sink is sink
         assert probe is not None
         soc.run()
         assert sink.records
 
-    def test_attach_sanitizer_equivalent_to_instrument(self):
-        legacy_soc = make_soc(n_cores=2, firmware=RACY)
-        legacy = legacy_soc.attach_sanitizer()
-        legacy_soc.run()
+    def test_sanitizer_true_equivalent_to_options_dict(self):
+        short_soc = make_soc(n_cores=2, firmware=RACY)
+        short = short_soc.instrument(sanitizer=True).detector
+        short_soc.run()
 
-        unified_soc = make_soc(n_cores=2, firmware=RACY)
-        unified = unified_soc.instrument(
+        explicit_soc = make_soc(n_cores=2, firmware=RACY)
+        explicit = explicit_soc.instrument(
             sanitizer={"sink": None, "metrics": None}).detector
-        unified_soc.run()
+        explicit_soc.run()
 
-        assert isinstance(legacy, RaceSanitizer)
-        assert legacy.sink is None
-        assert len(legacy.races) == len(unified.races)
-        assert legacy.checked_accesses == unified.checked_accesses
-        assert [c.cycle_count for c in legacy_soc.cores] \
-            == [c.cycle_count for c in unified_soc.cores]
+        assert isinstance(short, RaceSanitizer)
+        assert short.sink is None
+        assert len(short.races) == len(explicit.races)
+        assert short.checked_accesses == explicit.checked_accesses
+        assert [c.cycle_count for c in short_soc.cores] \
+            == [c.cycle_count for c in explicit_soc.cores]
 
-    def test_attach_faults_equivalent_to_instrument(self):
+    def test_faults_injector_equivalent_to_plan(self):
         plan = FaultPlan().flip_ram(addr=20, bit=2, at=1.0)
 
-        legacy_soc = make_soc()
-        legacy_inj = FaultInjector(legacy_soc.sim, plan)
-        legacy_soc.attach_faults(legacy_inj)
-        legacy_soc.run()
+        ready_soc = make_soc()
+        ready_inj = FaultInjector(ready_soc.sim, plan)
+        ready_soc.instrument(faults=ready_inj)
+        ready_soc.run()
 
-        unified_soc = make_soc()
-        unified_inj = unified_soc.instrument(faults=plan).injector
-        unified_soc.run()
+        plan_soc = make_soc()
+        plan_inj = plan_soc.instrument(faults=plan).injector
+        plan_soc.run()
 
-        assert len(legacy_inj.injected) == len(unified_inj.injected) == 1
-        assert legacy_soc.mem(20) == unified_soc.mem(20)
+        assert len(ready_inj.injected) == len(plan_inj.injected) == 1
+        assert ready_soc.mem(20) == plan_soc.mem(20)

@@ -9,8 +9,7 @@ program computes.
 import pytest
 
 from repro.obs import MetricsRegistry, TraceSink
-from repro.sanitize import (NoCOrderTracker, RaceSanitizer, VectorClock,
-                            attach_sanitizer)
+from repro.sanitize import NoCOrderTracker, RaceSanitizer, VectorClock
 from repro.vp import SoC, SoCConfig
 from repro.vp.soc import DMA_BASE, MBOX_BASE, SEM_BASE
 from repro.desim import Simulator
@@ -90,7 +89,7 @@ class TestVectorClock:
 class TestE11Matrix:
     def test_racy_workload_flags_the_lost_update_race(self):
         soc = build(RACY)
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         soc.run()
         assert sanitizer.races, "lost-update race must be detected"
         # Every report is on the shared counter, nothing else.
@@ -113,7 +112,7 @@ class TestE11Matrix:
 
     def test_semaphore_correct_variant_is_silent(self):
         soc = build(SAFE)
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         soc.run()
         assert soc.mem(100) == EXPECTED
         assert sanitizer.races == []
@@ -124,7 +123,7 @@ class TestE11Matrix:
         plain = build(RACY)
         plain.run()
         sanitized = build(RACY)
-        sanitizer = attach_sanitizer(sanitized)
+        sanitizer = sanitized.instrument(sanitizer=True).detector
         sanitized.run()
         # Pure observation: same final RAM word, same per-core timing.
         assert sanitized.mem(100) == plain.mem(100)
@@ -141,7 +140,7 @@ class TestE11Matrix:
         reports = []
         for _ in range(2):
             soc = build(RACY)
-            sanitizer = attach_sanitizer(soc)
+            sanitizer = soc.instrument(sanitizer=True).detector
             soc.run()
             reports.append(sanitizer.report())
         assert reports[0] == reports[1]
@@ -149,7 +148,7 @@ class TestE11Matrix:
 
     def test_races_dedup_by_site_pair_with_counts(self):
         soc = build(RACY)
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         soc.run()
         # 25 loop iterations collapse into a handful of site pairs, each
         # with an occurrence count; total occurrences cover the loop.
@@ -162,7 +161,7 @@ class TestE11Matrix:
         sink = TraceSink()
         metrics = MetricsRegistry()
         soc = build(RACY)
-        soc.attach_sanitizer(sink=sink, metrics=metrics)
+        soc.instrument(sanitizer={"sink": sink, "metrics": metrics})
         soc.run()
         reports = metrics.counter("race.reports").value
         assert reports > 0
@@ -173,7 +172,7 @@ class TestE11Matrix:
 
     def test_detach_releases_everything(self):
         soc = build(RACY)
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         sanitizer.detach()
         assert soc.bus.observers == []
         assert soc.dma.completion_hooks == []
@@ -306,7 +305,7 @@ class TestInterruptEdges:
         soc = SoC(config, {0: sender, 1: receiver_program})
         soc.intcs[1].add_source(0, soc.mailboxes.doorbells[1])
         soc.intcs[1].write(1, 1)  # unmask the doorbell line
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         soc.run(max_events=100_000)
         assert soc.mem(301) == 7
         assert sanitizer.races == []
@@ -340,7 +339,7 @@ class TestInterruptEdges:
         soc = SoC(config, {0: sender, 1: receiver_program})
         soc.intcs[1].add_source(0, soc.mailboxes.doorbells[1])
         soc.intcs[1].write(1, 1)
-        sanitizer = attach_sanitizer(soc)
+        sanitizer = soc.instrument(sanitizer=True).detector
         soc.run(max_events=100_000)
         assert any(race.address == 300 for race in sanitizer.races) or \
             soc.mem(300) == 0 and sanitizer.checked_accesses > 0
