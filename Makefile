@@ -2,7 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples reproduce trace-demo all clean
+# The package runs from the source tree; `make install` is optional.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
+# The CI iss-equivalence job: each ISS backend must stay bit-identical to
+# the quantum=1 reference, one leg per backend.
+ISS_BACKENDS = reference fast compiled vector
+ISS_EQUIVALENCE_TESTS = tests/test_iss_fastpath_equivalence.py \
+	tests/test_backend_compiled.py tests/test_cir_iss_differential.py \
+	tests/test_backend_vector.py tests/test_lane_divergence.py \
+	tests/test_snapshot_determinism.py
+
+.PHONY: install test bench examples reproduce trace-demo iss-matrix all clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -25,8 +36,14 @@ reproduce:
 # Cross-layer trace of the JPEG pipeline; open the JSON in Perfetto or
 # chrome://tracing.
 trace-demo:
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-		$(PYTHON) examples/trace_explorer.py --out jpeg_pipeline.trace.json
+	$(PYTHON) examples/trace_explorer.py --out jpeg_pipeline.trace.json
+
+iss-matrix:
+	@for backend in $(ISS_BACKENDS); do \
+		echo "== REPRO_ISS_BACKEND=$$backend =="; \
+		REPRO_ISS_BACKEND=$$backend $(PYTHON) -m pytest \
+			$(ISS_EQUIVALENCE_TESTS) -x -q || exit 1; \
+	done; echo "all ISS backends equivalent"
 
 all: install test bench examples
 

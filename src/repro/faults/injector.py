@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.desim.kernel import Process, SimObserver, Simulator
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
+from repro.vp.isa import to_signed32
 
 Handler = Callable[[FaultSpec], bool]
 
@@ -193,10 +194,7 @@ class FaultInjector(SimObserver):
             # image: registers are architecturally 32 bits wide, and a
             # raw Python XOR on a negative (two's-complement) value would
             # leave a value no 32-bit core could hold.
-            flipped = (cpu.regs[reg] & 0xFFFFFFFF) ^ (1 << (bit & 31))
-            if flipped & 0x80000000:
-                flipped -= 0x1_0000_0000
-            cpu.regs[reg] = flipped
+            cpu.regs[reg] = to_signed32(cpu.regs[reg] ^ (1 << (bit & 31)))
             return True
 
         def irq_stuck(spec: FaultSpec) -> bool:

@@ -33,10 +33,20 @@ program's meaning never depends on which execution path decodes it:
   ``jmp``/``jal`` operands) must already be canonical instruction
   indices in ``[0, 2**31)``; anything else is rejected with
   :class:`AsmError`, since no label can ever resolve there.
+
+The opcode table
+----------------
+:data:`OPS` describes every opcode once -- operand shape, cycle cost,
+expression templates, fault condition, wrap rule (:class:`OpSpec`).
+The assembler encodes by its shapes, and the ISS's batching tiers are
+generated from it: the fast tier's handlers (:mod:`repro.vp.iss`) and
+the superblock compiler (:mod:`repro.vp.jit`).  The reference path,
+``Cpu._execute``, is the one hand-written copy, kept as the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -44,20 +54,182 @@ REGISTER_COUNT = 16
 LINK_REGISTER = 14
 STACK_REGISTER = 15
 
-THREE_REG_OPS = {"add", "sub", "mul", "div", "and", "or", "xor", "shl",
-                 "shr", "slt", "sltu", "seq"}
-BRANCH_OPS = {"beq", "bne", "blt", "bge"}
-NO_ARG_OPS = {"nop", "halt", "ret", "ei", "di", "iret"}
 
-# Classification used by the ISS's temporally-decoupled fast path: LOCAL_OPS
-# touch nothing outside the register file and may be batched into one kernel
-# event; SYNC_OPS are observable interactions (bus traffic, interrupt-mode
-# changes, halt) that force a synchronization boundary.
-CONTROL_OPS = BRANCH_OPS | {"jmp", "jal", "jr", "ret"}
-MEM_OPS = {"lw", "sw", "swap"}
-SYNC_OPS = MEM_OPS | {"halt", "ei", "di", "iret"}
-LOCAL_OPS = (THREE_REG_OPS | CONTROL_OPS
-             | {"addi", "li", "mov", "nop"})
+def to_signed32(value: int) -> int:
+    """The signed 32-bit two's-complement image of ``value``: the word
+    every register, immediate and data word holds."""
+    value &= 0xFFFFFFFF
+    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
+
+
+def wrap_expr(expr: str) -> str:
+    """:func:`to_signed32` as branchless source over an expression."""
+    return f"((({expr}) + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
+
+
+def _div32(a: int, b: int) -> int:
+    """Truncating 32-bit division, the table's ``div`` (INT_MIN / -1
+    wraps back to INT_MIN); integer-only, so no float rounding."""
+    q = abs(a) // abs(b)
+    return to_signed32(-q if (a < 0) != (b < 0) else q)
+
+
+class BlockFault(Exception):
+    """A fault raised inside a batch (a fast-tier handler or a compiled
+    superblock).
+
+    Carries the faulting ``pc`` and the exact charge accumulated inside
+    the call (``cycles``/``count`` include the faulting instruction,
+    matching the reference path, which charges before raising; ``cost``
+    is the faulting instruction's own cycle cost, used to split the
+    batch delay so the error surfaces at the reference cycle).  The
+    ``detail`` text has no core name: decoded programs are shared by
+    every core running them, and the core prefixes its name.
+    """
+
+    def __init__(self, pc: int, cycles: int, count: int, cost: int,
+                 detail: str) -> None:
+        super().__init__(detail)
+        self.pc = pc
+        self.cycles = cycles
+        self.count = count
+        self.cost = cost
+        self.detail = detail
+
+
+# The globals generated batch code runs under (fast-tier handlers and
+# compiled superblocks).
+TEMPLATE_GLOBALS = {"_div32": _div32, "BlockFault": BlockFault}
+
+
+# ---------------------------------------------------------------------------
+# the opcode table
+# ---------------------------------------------------------------------------
+
+# Wrap rules: how an op's result relates to the canonical signed-32 image
+# the register file holds (see OpSpec).  Inputs read from the register
+# file are always canonical; inside a compiled superblock a local may
+# hold any value congruent mod 2**32 to the canonical one.
+LAZY = "lazy"                       # congruent; the wrap is deferred
+EAGER = "eager"                     # wrapped at once
+CANON_IFF_INPUTS = "canonical-iff-inputs"
+CANONICAL = "canonical"             # canonical by construction
+
+_OPERANDS = "abin"
+
+
+@dataclass(frozen=True, eq=False)
+class OpSpec:
+    """One opcode's semantics: the single description the batching
+    tiers are generated from (the ``fast`` handlers in
+    :mod:`repro.vp.iss`, the superblock emitter in :mod:`repro.vp.jit`).
+    The reference path, ``Cpu._execute``, is written by hand on purpose:
+    it is the oracle the equivalence tests hold the table against.
+
+    ``shape`` names the assembled ``Instr.args`` slots in order: ``d``
+    the destination register, ``a``/``b`` source registers, ``i`` an
+    immediate, ``t`` a control-flow target; ``link`` names the slot the
+    link register fills implicitly (``jal`` writes it, ``ret`` reads it).
+
+    Templates are Python expressions over ``{a}``, ``{b}`` (source
+    registers), ``{i}`` (the immediate) and ``{n}`` (the fall-through
+    pc): ``expr`` is the value written to ``d``, ``test`` the taken
+    condition of a conditional branch, ``next`` the control-transfer
+    target, ``fault`` a condition that raises ``fault_text``.
+
+    ``wrap`` says what ``expr`` yields when its inputs are congruent but
+    not canonical (see the rules above); ``canon`` lists the operands
+    whose signed image the templates read (the needs-canonical-inputs
+    rule: signed compares, arithmetic shift, division, jump targets).
+    ``raw_expr`` is an equivalent form of ``expr`` for inputs that are
+    not canonical, used instead of canonicalizing them first.
+    ``sync`` ops touch something outside the register file and always
+    run on the reference path.
+    """
+
+    shape: str
+    cycles: int = 1
+    expr: Optional[str] = None
+    wrap: str = CANONICAL
+    canon: str = ""
+    raw_expr: Optional[str] = None
+    test: Optional[str] = None
+    next: Optional[str] = None
+    fault: Optional[str] = None
+    fault_text: str = ""
+    link: str = ""
+    sync: bool = False
+
+    def bind(self, args: Tuple) -> Dict[str, int]:
+        """Map an instruction's ``args`` onto operand names."""
+        slots = dict(zip(self.shape, args))
+        if self.link:
+            slots[self.link] = LINK_REGISTER
+        if "i" in slots:
+            slots["i"] = to_signed32(slots["i"])
+        return slots
+
+
+@functools.lru_cache(maxsize=None)
+def template_operands(template: str) -> Tuple[str, ...]:
+    """The operand names a template reads, in canonical order (cached:
+    code generation asks once per emitted instruction)."""
+    return tuple(name for name in _OPERANDS if f"{{{name}}}" in template)
+
+
+def _alu(expr: str, wrap: str = CANONICAL, canon: str = "",
+         cycles: int = 1, **extra) -> OpSpec:
+    return OpSpec("dab", cycles, expr, wrap, canon, **extra)
+
+
+def _branch(test: str) -> OpSpec:
+    return OpSpec("abt", test=test, canon="ab", next="{t}")
+
+
+OPS: Dict[str, OpSpec] = {
+    "add": _alu("{a} + {b}", LAZY),
+    "sub": _alu("{a} - {b}", LAZY),
+    # Products wrap eagerly: deferred mul chains would square bignum
+    # widths block-long.
+    "mul": _alu("{a} * {b}", EAGER, cycles=3),
+    "div": _alu("_div32({a}, {b})", canon="ab", cycles=3,
+                fault="{b} == 0", fault_text="division by zero"),
+    # Masking commutes with bitwise ops.
+    "and": _alu("{a} & {b}", CANON_IFF_INPUTS),
+    "or": _alu("{a} | {b}", CANON_IFF_INPUTS),
+    "xor": _alu("{a} ^ {b}", CANON_IFF_INPUTS),
+    # Shift amounts use the low 5 bits, as on 32-bit RISC hardware.
+    "shl": _alu("({a} & 0xFFFFFFFF) << ({b} & 31)", EAGER),
+    "shr": _alu("{a} >> ({b} & 31)", canon="a"),
+    "slt": _alu("1 if {a} < {b} else 0", canon="ab"),
+    "sltu": _alu("1 if ({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF) else 0"),
+    "seq": _alu("1 if {a} == {b} else 0", raw_expr="1 if ({a} & 0xFFFFFFFF) "
+                "== ({b} & 0xFFFFFFFF) else 0"),
+    "addi": OpSpec("dai", expr="{a} + {i}", wrap=LAZY),
+    "li": OpSpec("di", expr="{i}"),
+    "mov": OpSpec("da", expr="{a}", wrap=CANON_IFF_INPUTS),
+    "nop": OpSpec(""),
+    "beq": _branch("{a} == {b}"),
+    "bne": _branch("{a} != {b}"),
+    "blt": _branch("{a} < {b}"),
+    "bge": _branch("{a} >= {b}"),
+    "jmp": OpSpec("t", next="{t}"),
+    "jal": OpSpec("t", expr="{n}", next="{t}", link="d"),
+    "jr": OpSpec("a", canon="a", next="{a}"),
+    "ret": OpSpec("", canon="a", next="{a}", link="a"),
+    "lw": OpSpec("dia", 2, sync=True),
+    "sw": OpSpec("bia", 2, sync=True),
+    "swap": OpSpec("dia", 2, sync=True),
+    "halt": OpSpec("", sync=True),
+    "ei": OpSpec("", sync=True),
+    "di": OpSpec("", sync=True),
+    "iret": OpSpec("", sync=True),
+}
+
+THREE_REG_OPS = {name for name, spec in OPS.items() if spec.shape == "dab"}
+BRANCH_OPS = {name for name, spec in OPS.items() if spec.test is not None}
+_SYNTAX_NAMES = {"d": "rd", "a": "ra", "b": "rb", "i": "imm",
+                 "t": "target", "m": "imm(ra)"}
 
 
 class AsmError(Exception):
@@ -110,14 +282,6 @@ def _parse_register(token: str, line_no: int, line: str) -> int:
     if not 0 <= index < REGISTER_COUNT:
         raise AsmError(f"register out of range {token!r}", line_no, line)
     return index
-
-
-def _wrap_word(value: int) -> int:
-    """The signed 32-bit two's-complement image (the ISS word size --
-    duplicated here rather than imported so isa stays import-cycle-free
-    below iss/jit)."""
-    value &= 0xFFFFFFFF
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 def _check_target(value: int, op: str, line_no: int, line: str) -> int:
@@ -191,7 +355,7 @@ def assemble(source: str) -> AsmProgram:
             if data_cursor is None:
                 raise AsmError(".word before .org", line_no, raw)
             for token in rest.replace(",", " ").split():
-                program.data[data_cursor] = _wrap_word(int(token, 0))
+                program.data[data_cursor] = to_signed32(int(token, 0))
                 data_cursor += 1
             continue
         if data_cursor is not None:
@@ -215,62 +379,31 @@ def _encode(op: str, operands: List[str], line_no: int, raw: str,
             return program.labels[value]
         return value
 
-    if op in NO_ARG_OPS:
-        if operands:
-            raise AsmError(f"{op} takes no operands", line_no, raw)
-        return Instr(op, (), line_no)
-    if op in THREE_REG_OPS:
-        if len(operands) != 3:
-            raise AsmError(f"{op} needs 3 registers", line_no, raw)
-        regs = tuple(_parse_register(t, line_no, raw) for t in operands)
-        return Instr(op, regs, line_no)
-    if op == "addi":
-        if len(operands) != 3:
-            raise AsmError("addi needs rd, ra, imm", line_no, raw)
-        rd = _parse_register(operands[0], line_no, raw)
-        ra = _parse_register(operands[1], line_no, raw)
-        imm = _wrap_word(resolve(_parse_imm(operands[2], line_no, raw)))
-        return Instr("addi", (rd, ra, imm), line_no)
-    if op == "li":
-        if len(operands) != 2:
-            raise AsmError("li needs rd, imm", line_no, raw)
-        rd = _parse_register(operands[0], line_no, raw)
-        imm = _wrap_word(resolve(_parse_imm(operands[1], line_no, raw)))
-        return Instr("li", (rd, imm), line_no)
-    if op == "mov":
-        if len(operands) != 2:
-            raise AsmError("mov needs rd, ra", line_no, raw)
-        rd = _parse_register(operands[0], line_no, raw)
-        ra = _parse_register(operands[1], line_no, raw)
-        return Instr("mov", (rd, ra), line_no)
-    if op in ("lw", "sw", "swap"):
-        if len(operands) != 2:
-            raise AsmError(f"{op} needs reg, imm(reg)", line_no, raw)
-        reg = _parse_register(operands[0], line_no, raw)
-        imm, base = _parse_mem_operand(operands[1], line_no, raw)
-        return Instr(op, (reg, _wrap_word(resolve(imm)), base), line_no)
-    if op in BRANCH_OPS:
-        if len(operands) != 3:
-            raise AsmError(f"{op} needs ra, rb, label", line_no, raw)
-        ra = _parse_register(operands[0], line_no, raw)
-        rb = _parse_register(operands[1], line_no, raw)
-        target = _check_target(resolve(_parse_imm(operands[2], line_no, raw)),
-                               op, line_no, raw)
-        return Instr(op, (ra, rb, target), line_no)
-    if op in ("jmp", "jal"):
-        if len(operands) != 1:
-            raise AsmError(f"{op} needs a target", line_no, raw)
-        target = _check_target(resolve(_parse_imm(operands[0], line_no, raw)),
-                               op, line_no, raw)
-        return Instr(op, (target,), line_no)
-    if op == "jr":
-        if len(operands) != 1:
-            raise AsmError("jr needs a register", line_no, raw)
-        return Instr("jr", (_parse_register(operands[0], line_no, raw),),
-                     line_no)
-    raise AsmError(f"unknown mnemonic {op!r}", line_no, raw)
+    spec = OPS.get(op)
+    if spec is None:
+        raise AsmError(f"unknown mnemonic {op!r}", line_no, raw)
+    # An immediate followed by a base register is written ``imm(ra)``.
+    syntax = spec.shape.replace("ia", "m")
+    if len(operands) != len(syntax):
+        names = ", ".join(_SYNTAX_NAMES[slot] for slot in syntax)
+        raise AsmError(f"{op} needs {names}" if names
+                       else f"{op} takes no operands", line_no, raw)
+    args: List[int] = []
+    for slot, token in zip(syntax, operands):
+        if slot in "dab":
+            args.append(_parse_register(token, line_no, raw))
+        elif slot == "m":
+            imm, base = _parse_mem_operand(token, line_no, raw)
+            args += [to_signed32(resolve(imm)), base]
+        else:
+            value = resolve(_parse_imm(token, line_no, raw))
+            args.append(to_signed32(value) if slot == "i"
+                        else _check_target(value, op, line_no, raw))
+    return Instr(op, tuple(args), line_no)
 
 
-__all__ = ["AsmError", "AsmProgram", "BRANCH_OPS", "CONTROL_OPS", "Instr",
-           "LINK_REGISTER", "LOCAL_OPS", "MEM_OPS", "REGISTER_COUNT",
-           "STACK_REGISTER", "SYNC_OPS", "THREE_REG_OPS", "assemble"]
+__all__ = ["AsmError", "AsmProgram", "BRANCH_OPS", "BlockFault",
+           "CANONICAL", "CANON_IFF_INPUTS", "EAGER", "Instr", "LAZY",
+           "LINK_REGISTER", "OPS", "OpSpec", "REGISTER_COUNT",
+           "STACK_REGISTER", "TEMPLATE_GLOBALS", "THREE_REG_OPS",
+           "assemble", "template_operands", "to_signed32", "wrap_expr"]

@@ -23,6 +23,14 @@ dispatch-ready handler closures (the *decode cache*, invalidated when the
 program object or its length changes; call :func:`invalidate_decode`
 after editing instructions in place).
 
+The handlers, their cycle costs and the batchable/sync split are all
+generated from the opcode table (:data:`repro.vp.isa.OPS`), which also
+drives the superblock compiler (:mod:`repro.vp.jit`).  The reference
+path, :meth:`Cpu._execute`, is written by hand on purpose: it is the
+oracle the equivalence tests and the differential fuzzer hold the table
+against, and a copy generated from the same table could not see a table
+bug.
+
 Cycle counts are bit-identical to the per-instruction reference path:
 batches accumulate exactly the per-instruction cycle costs, and every
 *observable interaction* forces a synchronization boundary where the core
@@ -46,16 +54,18 @@ per-instruction behavior event for event.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.desim import Delay, Signal, Simulator
+from repro.vp import jit
 from repro.vp.bus import Bus
-from repro.vp.isa import (AsmProgram, BRANCH_OPS, Instr, LINK_REGISTER,
-                          REGISTER_COUNT)
+from repro.vp.isa import (AsmProgram, EAGER, Instr, LAZY, LINK_REGISTER, OPS,
+                          OpSpec, REGISTER_COUNT, TEMPLATE_GLOBALS,
+                          template_operands, to_signed32, wrap_expr)
+from repro.vp.lanes import run_handler_chain, run_superblock_chain
 
-CYCLES = {"mul": 3, "div": 3, "lw": 2, "sw": 2, "swap": 2}
-DEFAULT_CYCLES = 1
 DEFAULT_QUANTUM = 64
 
 # Execution backend tiers (see Cpu.__init__, repro.vp.jit and
@@ -70,6 +80,11 @@ DEFAULT_BACKEND = "fast"
 _MASK32 = 0xFFFFFFFF
 
 
+# The reference path's own helpers.  Cpu._execute is written by hand,
+# independently of the opcode table (repro.vp.isa.OPS) the batching
+# tiers are generated from, so the equivalence tests can catch a table
+# bug; only the word wrap is shared.
+
 def _div_trunc(a: int, b: int) -> int:
     """Pure-integer division truncating toward zero (no float detour, so
     operands beyond 2**53 stay exact)."""
@@ -80,7 +95,7 @@ def _div_trunc(a: int, b: int) -> int:
 def _div32(a: int, b: int) -> int:
     """``div``: truncating 32-bit division.  The single overflow case,
     INT_MIN / -1, wraps back to INT_MIN as on real 32-bit hardware."""
-    return _to_signed32(_div_trunc(a, b))
+    return to_signed32(_div_trunc(a, b))
 
 
 def _unsigned_lt(a: int, b: int) -> int:
@@ -88,23 +103,17 @@ def _unsigned_lt(a: int, b: int) -> int:
     return 1 if (a & _MASK32) < (b & _MASK32) else 0
 
 
-def _to_signed32(value: int) -> int:
-    """Reduce to the signed 32-bit two's-complement image."""
-    value &= _MASK32
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
-
-
 def _shl32(a: int, b: int) -> int:
     """``shl``: 32-bit logical left shift.  The result wraps to a signed
     32-bit word and the shift amount uses the low 5 bits, as on real
     32-bit RISC hardware (and as compiled C firmware observes)."""
-    return _to_signed32((a & _MASK32) << (b & 31))
+    return to_signed32((a & _MASK32) << (b & 31))
 
 
 def _shr32(a: int, b: int) -> int:
     """``shr``: 32-bit arithmetic right shift (sign-extending), shift
     amount masked to the low 5 bits."""
-    return _to_signed32(a) >> (b & 31)
+    return to_signed32(a) >> (b & 31)
 
 
 @dataclass
@@ -125,136 +134,103 @@ class CoreState:
 # decode cache
 # ---------------------------------------------------------------------------
 
-class _BatchFault(Exception):
-    """A fault raised inside a compiled handler.  Carries the detail text
-    without the core name (decoded programs are shared across cores); the
-    batch executor prefixes the name when surfacing it."""
+# An op the table does not know: never batched, and rejected by
+# Cpu._execute when the reference path reaches it.
+_UNKNOWN_OP = OpSpec("", sync=True)
+
+# How generated handler code names each operand slot, and how it reads
+# each template operand.
+_SLOT_NAMES = {"d": "rd", "a": "ra", "b": "rb", "i": "i", "t": "t"}
+_HANDLER_ARGS = {"a": "regs[ra]", "b": "regs[rb]", "i": "i", "n": "nxt",
+                 "t": "t"}
+_HANDLER_NAMES = ("rd", "ra", "rb", "i", "t", "nxt", "pc", "value", "fn",
+                  "test", "fault")
+# Generated handler factories by table entry (OpSpec hashes by identity).
+_FACTORIES: Dict[OpSpec, Callable] = {}
 
 
-_JIT_BLOCK_FAULT = None
+def _call(name: str, template: str) -> str:
+    args = ", ".join(_HANDLER_ARGS[o] for o in template_operands(template))
+    return f"{name}({args})"
 
 
-def _jit_block_fault():
-    """The jit backend's BlockFault class, imported lazily exactly once
-    (repro.vp.jit imports this module at top level, so the reverse import
-    must stay deferred -- and out of the per-batch hot path)."""
-    global _JIT_BLOCK_FAULT
-    if _JIT_BLOCK_FAULT is None:
-        from repro.vp.jit import BlockFault
-        _JIT_BLOCK_FAULT = BlockFault
-    return _JIT_BLOCK_FAULT
+def _handler_def(body: List[str], indent: str) -> List[str]:
+    """``def handler(regs)`` over ``body``, binding every free name it
+    uses as a default argument (fast locals, no closure cells)."""
+    text = "\n".join(body)
+    bound = ", ".join(f"{name}={name}" for name in _HANDLER_NAMES
+                      if re.search(rf"\b{name}\b", text))
+    return ([f"{indent}def handler(regs, {bound}):"]
+            + [f"{indent}    {line}" for line in body]
+            + [f"{indent}return handler"])
 
 
-# Register-file invariant: every register always holds the *canonical*
-# signed 32-bit image of its value (-2**31 .. 2**31-1).  Every writer
-# that can leave that range wraps (add/sub/mul/div, addi, li, loads);
-# writers that cannot (bitwise ops, compares, mov of a canonical source,
-# link writes) store raw.  slt and the blt/bge tests then compare the
-# signed-32 images by construction -- no masking needed at compare sites.
-# The wrap form ((x + 2**31) & 0xFFFFFFFF) - 2**31 is branchless and is
-# the same expression the compiled backend (repro.vp.jit) inlines.
-_BINOPS = {
-    "add": lambda a, b: ((a + b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "sub": lambda a, b: ((a - b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "mul": lambda a, b: ((a * b + 0x8000_0000) & _MASK32) - 0x8000_0000,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": _shl32,
-    "shr": _shr32,
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sltu": _unsigned_lt,
-    "seq": lambda a, b: 1 if a == b else 0,
-}
+def _handler_factory(spec: OpSpec) -> Callable:
+    """``make(args, pc) -> handler`` for one table entry (generated once
+    per op, see :func:`_compile_handler`).
 
-_BRANCH_TESTS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-}
+    A handler mutates the register file in place and returns the next
+    pc.  The templates stay behind calls to per-op lambdas (``fn``,
+    ``test``, ``fault``); since the register file only ever holds
+    canonical images (every writer that can leave the signed-32 range
+    wraps, and ``r0`` is never written), ``fn`` reads registers raw and
+    wraps lazy and eager results on the spot.  A handler for ``rd ==
+    r0`` drops the write but keeps the fault check: a ``div`` by zero
+    into ``r0`` faults like the reference path.
+    """
+    lines = []
+    for name, template in (("fn", spec.expr), ("test", spec.test),
+                           ("fault", spec.fault)):
+        if template is not None:
+            body = template.format(**{o: o for o in "abin"})
+            if name == "fn" and spec.wrap in (LAZY, EAGER):
+                body = wrap_expr(body)
+            params = ", ".join(template_operands(template))
+            lines.append(f"{name} = lambda {params}: {body}")
+    lines.append("def make(args, pc):")
+    if spec.shape:
+        names = ", ".join(_SLOT_NAMES[slot] for slot in spec.shape)
+        lines.append(f"    {names}, = args")
+    if spec.link:
+        lines.append(f"    {_SLOT_NAMES[spec.link]} = {LINK_REGISTER}")
+    if "i" in spec.shape:
+        lines.append(f"    i = {wrap_expr('i')}")
+    lines.append("    nxt = pc + 1")
+    body = []
+    if spec.fault is not None:
+        body.append(f"if {_call('fault', spec.fault)}:")
+        body.append(f"    raise BlockFault(pc, {spec.cycles}, 1, "
+                    f"{spec.cycles}, '{spec.fault_text} at pc=%d' % pc)")
+    if spec.test is not None:
+        body.append(f"return t if {_call('test', spec.test)} else nxt")
+    else:
+        target = spec.next.format(**_HANDLER_ARGS) if spec.next else "nxt"
+        body.append(f"return {target}")
+    if spec.expr is not None:
+        value = _call("fn", spec.expr)
+        if not {"a", "b"} & set(template_operands(spec.expr)):
+            lines.append(f"    value = {value}")   # decode-time constant
+            value = "value"
+        lines.append("    if rd:")
+        lines += _handler_def([*body[:-1], f"regs[rd] = {value}", body[-1]],
+                              "        ")
+    lines += _handler_def(body, "    ")
+    namespace = dict(TEMPLATE_GLOBALS)
+    exec("\n".join(lines), namespace)  # noqa: S102
+    return namespace["make"]
 
 
 def _compile_handler(instr: Instr, pc: int):
-    """Compile one batchable instruction to a closure ``handler(regs) ->
-    next_pc`` mutating the register file in place.
-
-    ``regs[0]`` is hardwired to zero by construction (every write path
-    guards index 0), so operand reads use the raw list.  Handlers for
-    ``rd == r0`` still evaluate their operands -- a ``div`` by zero must
-    fault exactly like the reference path.
-    """
-    op = instr.op
-    args = instr.args
-    nxt = pc + 1
-    if op == "div":
-        rd, ra, rb = args
-
-        def div_handler(regs, rd=rd, ra=ra, rb=rb, nxt=nxt, pc=pc):
-            b = regs[rb]
-            if b == 0:
-                raise _BatchFault(f"division by zero at pc={pc}")
-            value = _div32(regs[ra], b)
-            if rd:
-                regs[rd] = value
-            return nxt
-        return div_handler
-    if op in _BINOPS:
-        rd, ra, rb = args
-        fn = _BINOPS[op]
-        if rd:
-            def bin_handler(regs, rd=rd, ra=ra, rb=rb, nxt=nxt, fn=fn):
-                regs[rd] = fn(regs[ra], regs[rb])
-                return nxt
-        else:
-            def bin_handler(regs, ra=ra, rb=rb, nxt=nxt, fn=fn):
-                fn(regs[ra], regs[rb])
-                return nxt
-        return bin_handler
-    if op == "addi":
-        rd, ra, imm = args
-        if rd:
-            return lambda regs, rd=rd, ra=ra, imm=imm, nxt=nxt: (
-                regs.__setitem__(
-                    rd, ((regs[ra] + imm + 0x8000_0000) & _MASK32)
-                    - 0x8000_0000), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op == "li":
-        rd, imm = args
-        imm = _to_signed32(imm)  # out-of-range immediates wrap at decode
-        if rd:
-            return lambda regs, rd=rd, imm=imm, nxt=nxt: (
-                regs.__setitem__(rd, imm), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op == "mov":
-        rd, ra = args
-        if rd:
-            return lambda regs, rd=rd, ra=ra, nxt=nxt: (
-                regs.__setitem__(rd, regs[ra]), nxt)[1]
-        return lambda regs, nxt=nxt: nxt
-    if op in BRANCH_OPS:
-        ra, rb, target = args
-        test = _BRANCH_TESTS[op]
-        return lambda regs, ra=ra, rb=rb, t=target, nxt=nxt, test=test: (
-            t if test(regs[ra], regs[rb]) else nxt)
-    if op == "jmp":
-        target = args[0]
-        return lambda regs, t=target: t
-    if op == "jal":
-        target = args[0]
-
-        def jal_handler(regs, t=target, link=nxt):
-            regs[LINK_REGISTER] = link
-            return t
-        return jal_handler
-    if op == "jr":
-        ra = args[0]
-        return lambda regs, ra=ra: regs[ra]
-    if op == "ret":
-        return lambda regs: regs[LINK_REGISTER]
-    if op == "nop":
-        return lambda regs, nxt=nxt: nxt
-    return None  # boundary op: executed on the reference path
+    """The fast-tier handler ``handler(regs) -> next_pc`` of one
+    instruction, or ``None`` at a sync boundary (executed on the
+    reference path)."""
+    spec = OPS.get(instr.op, _UNKNOWN_OP)
+    if spec.sync:
+        return None
+    make = _FACTORIES.get(spec)
+    if make is None:
+        make = _FACTORIES[spec] = _handler_factory(spec)
+    return make(instr.args, pc)
 
 
 class DecodedProgram:
@@ -274,7 +250,7 @@ class DecodedProgram:
         instrs = program.instructions
         self._source_list = instrs
         self.n = len(instrs)
-        self.cycles = [CYCLES.get(i.op, DEFAULT_CYCLES) for i in instrs]
+        self.cycles = [OPS.get(i.op, _UNKNOWN_OP).cycles for i in instrs]
         self.handlers = [_compile_handler(instr, pc)
                          for pc, instr in enumerate(instrs)]
         self.batchable = [h is not None for h in self.handlers]
@@ -291,12 +267,11 @@ class DecodedProgram:
         """The lazily built superblock cache for the compiled backend.
 
         Salted with :data:`repro.vp.jit.JIT_SALT` (a digest of the
-        compiler source, the farm's code-version-salt idiom): editing
-        the block compiler invalidates every cache built by the old
-        version, exactly like an in-place program edit invalidates the
-        decode itself.
+        opcode table's and the compiler's source, the farm's
+        code-version-salt idiom): editing either invalidates every cache
+        built by the old version, exactly like an in-place program edit
+        invalidates the decode itself.
         """
-        from repro.vp import jit
         cache = self._superblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._superblocks = jit.SuperBlockCache(
@@ -306,7 +281,6 @@ class DecodedProgram:
     def lane_superblocks(self):
         """The lane-vectorized superblock cache (the vector backend's
         tier), lazily built and salted exactly like :meth:`superblocks`."""
-        from repro.vp import jit
         cache = self._laneblocks
         if cache is None or cache.salt != jit.JIT_SALT:
             cache = self._laneblocks = jit.LaneBlockCache(
@@ -615,98 +589,25 @@ class Cpu:
                     if result.fault is not None:
                         raise RuntimeError(f"{self.name}: {result.fault}")
                     continue
-                if decoded.batchable[self.pc] \
-                        and self.backend in ("compiled", "vector"):
-                    # Superblock tier: one generated-function call per
-                    # basic block, chained until the quantum budget is
-                    # spent or a sync boundary is reached.  The quantum
-                    # rounds up to block granularity -- legal because
-                    # blocks contain no observable interaction, so every
-                    # wakeup still lands on a reference-path cycle and
-                    # tied-time ordering is pinned by core priority.
-                    block_fault = _jit_block_fault()
-                    sblocks = decoded.superblocks()
-                    get_block = sblocks.get
-                    batchable = decoded.batchable
-                    regs = self.regs
-                    quantum = self.quantum
-                    pc = self.pc
-                    total = 0
-                    count = 0
-                    cost = 0
-                    fault = None
-                    while True:
-                        block = get_block(pc)
-                        try:
-                            if block.dynamic:
-                                # Loop superblock: retires whole
-                                # iterations until the remaining budget
-                                # is spent or the loop exits.
-                                pc, bcycles, bcount = block.fn(
-                                    regs, quantum - total)
-                                total += bcycles
-                                count += bcount
-                            else:
-                                pc = block.fn(regs)
-                                total += block.cycles
-                                count += block.count
-                        except block_fault as error:
-                            total += error.cycles
-                            count += error.count
-                            cost = error.cost
-                            pc = error.pc
-                            fault = RuntimeError(
-                                f"{self.name}: {error.detail}")
-                            break
-                        cost = block.last_cost
-                        if (total >= quantum or not 0 <= pc < n
-                                or not batchable[pc]):
-                            break
-                    self._wait_state = "batch"
-                    if total > cost:
-                        yield Delay(total - cost)
-                    yield Delay(cost)
-                    self.cycle_count += total
-                    self.instr_count += count
-                    self.pc = pc
-                    self.pc_signal.write(pc)
-                    if fault is not None:
-                        raise fault
-                    continue
                 if decoded.batchable[self.pc]:
-                    # Execute a quantum-bounded run of local instructions
-                    # in place, then re-enter the kernel exactly once.
-                    handlers = decoded.handlers
-                    cycles_tab = decoded.cycles
-                    batchable = decoded.batchable
-                    regs = self.regs
-                    quantum = self.quantum
-                    pc = self.pc
-                    total = 0
-                    count = 0
-                    cost = 0
-                    fault = None
-                    while True:
-                        cost = cycles_tab[pc]
-                        try:
-                            pc = handlers[pc](regs)
-                        except BaseException as error:  # noqa: BLE001
-                            # The reference path charges the faulting
-                            # instruction before raising; match it, and
-                            # surface the error only after the batch
-                            # delay so it fires at the reference cycle.
-                            total += cost
-                            count += 1
-                            fault = error
-                            break
-                        total += cost
-                        count += 1
-                        if (total >= quantum or not 0 <= pc < n
-                                or not batchable[pc]):
-                            break
+                    # Scalar batching tiers: one call retires a quantum-
+                    # bounded batch of local instructions in place --
+                    # "fast" through the decoded handlers, "compiled"
+                    # (and "vector" for a core with no lane group)
+                    # through generated superblocks, chained until the
+                    # budget is spent or a sync boundary is reached.
+                    # The compiled tier rounds the quantum up to block
+                    # granularity: legal because blocks contain no
+                    # observable interaction.
+                    chain = (run_handler_chain if self.backend == "fast"
+                             else run_superblock_chain)
+                    result = chain(decoded, self.regs, self.pc,
+                                   self.quantum)
+                    total = result.total
+                    cost = result.cost
                     # Two kernel events per batch, not one: the final
                     # instruction's delay is issued separately so that
-                    # every fast-path yield is scheduled at a simulation
+                    # every batch yield is scheduled at a simulation
                     # time where the reference path also scheduled one.
                     # Time alignment alone is not enough for tied-time
                     # ordering -- the batch's first wakeup carries a seq
@@ -714,22 +615,23 @@ class Cpu:
                     # -- which is why core processes run at a fixed
                     # per-core kernel priority (see __init__): tied
                     # wakeups order by (time, priority), not history.
+                    # A fault is charged like the reference path charges
+                    # it and surfaces after the delays, at its reference
+                    # cycle.
                     self._wait_state = "batch"
                     if total > cost:
                         yield Delay(total - cost)
                     yield Delay(cost)
                     self.cycle_count += total
-                    self.instr_count += count
-                    self.pc = pc
-                    self.pc_signal.write(pc)
-                    if fault is not None:
-                        if isinstance(fault, _BatchFault):
-                            raise RuntimeError(f"{self.name}: {fault}")
-                        raise fault
+                    self.instr_count += result.count
+                    self.pc = result.pc
+                    self.pc_signal.write(result.pc)
+                    if result.fault is not None:
+                        raise RuntimeError(f"{self.name}: {result.fault}")
                     continue
             # Reference path: one instruction, one kernel event.
             instr = program.instructions[self.pc]
-            cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
+            cycles = OPS.get(instr.op, _UNKNOWN_OP).cycles
             self._wait_state = "ref"
             yield Delay(cycles)
             self.cycle_count += cycles
@@ -759,7 +661,7 @@ class Cpu:
             raise RuntimeError(
                 f"{self.name}: pc {self.pc} outside program (len {n})")
         instr = program.instructions[self.pc]
-        cycles = CYCLES.get(instr.op, DEFAULT_CYCLES)
+        cycles = OPS.get(instr.op, _UNKNOWN_OP).cycles
         self.cycle_count += cycles
         self.instr_count += 1
         self._execute(instr)
@@ -779,11 +681,11 @@ class Cpu:
             rd, ra, rb = args
             a, b = self._read_reg(ra), self._read_reg(rb)
             if op == "add":
-                value = _to_signed32(a + b)
+                value = to_signed32(a + b)
             elif op == "sub":
-                value = _to_signed32(a - b)
+                value = to_signed32(a - b)
             elif op == "mul":
-                value = _to_signed32(a * b)
+                value = to_signed32(a * b)
             elif op == "div":
                 if b == 0:
                     raise RuntimeError(f"{self.name}: division by zero "
@@ -808,17 +710,17 @@ class Cpu:
             self._write_reg(rd, value)
         elif op == "addi":
             rd, ra, imm = args
-            self._write_reg(rd, _to_signed32(self._read_reg(ra) + imm))
+            self._write_reg(rd, to_signed32(self._read_reg(ra) + imm))
         elif op == "li":
             rd, imm = args
-            self._write_reg(rd, _to_signed32(imm))
+            self._write_reg(rd, to_signed32(imm))
         elif op == "mov":
             rd, ra = args
             self._write_reg(rd, self._read_reg(ra))
         elif op == "lw":
             rd, imm, base = args
             address = self._read_reg(base) + imm
-            self._write_reg(rd, _to_signed32(
+            self._write_reg(rd, to_signed32(
                 self.bus.read(address, master=self.name)))
         elif op == "sw":
             rs, imm, base = args
@@ -829,7 +731,7 @@ class Cpu:
             address = self._read_reg(base) + imm
             old = self.bus.read(address, master=self.name)
             self.bus.write(address, self._read_reg(rd), master=self.name)
-            self._write_reg(rd, _to_signed32(old))
+            self._write_reg(rd, to_signed32(old))
         elif op in ("beq", "bne", "blt", "bge"):
             ra, rb, target = args
             a, b = self._read_reg(ra), self._read_reg(rb)
@@ -868,6 +770,6 @@ class Cpu:
         self.pc = next_pc
 
 
-__all__ = ["BACKENDS", "CoreState", "Cpu", "CYCLES", "DEFAULT_BACKEND",
+__all__ = ["BACKENDS", "CoreState", "Cpu", "DEFAULT_BACKEND",
            "DEFAULT_QUANTUM", "DecodedProgram", "decode_program",
            "invalidate_decode"]

@@ -13,20 +13,27 @@ conditional branch back to its own leader, the hot-loop shape) is
 compiled to an internal ``while`` that retires *many iterations* per
 call, bounded by the caller's remaining quantum budget.
 
-Correctness contract (the reference and fast paths are the oracles):
+Every instruction's code is generated from the opcode table,
+:data:`repro.vp.isa.OPS` -- the same table the fast tier's handlers are
+generated from: :meth:`_Emitter.emit` substitutes locals into the op's
+expression template and applies its wrap rule, and the block terminator
+comes from the op's ``test``/``next`` templates.  No opcode is spelled
+out here.
+
+Correctness contract (the hand-written reference path is the oracle):
 
 - **Sync boundaries are never compiled.**  Blocks only ever contain
-  LOCAL_OPS (register-file-only work); bus ops, mode changes and every
-  other observable interaction stay on the reference path, so all the
-  sync-boundary rules in :mod:`repro.vp.iss` are preserved unchanged.
+  non-``sync`` table ops (register-file-only work); bus ops, mode
+  changes and every other observable interaction stay on the reference
+  path, so all the sync-boundary rules in :mod:`repro.vp.iss` are
+  preserved unchanged.
 - **32-bit wrap semantics are exact.**  Generated code tracks, per
   local, whether the value is already the canonical signed-32 image and
   inserts the branchless wrap ``((x + 2**31) & 0xFFFFFFFF) - 2**31``
-  lazily: additive chains defer it (sum masking commutes with mod
-  2**32), while every wrap-sensitive use (signed compares, shifts,
-  division, backedges, block exits and faulting points) sees the
-  canonical image.  This is only correct because the interpreter paths
-  wrap too -- the unbounded-arithmetic fix this backend depends on.
+  by each op's wrap rule: lazy results (additive chains) defer it, since
+  sum masking commutes with mod 2**32, while every wrap-sensitive use
+  (the table's needs-canonical-inputs operands, backedges, block exits
+  and faulting points) sees the canonical image.
 - **Faults surface at the reference cycle.**  A ``div`` by zero writes
   back all architectural state retired before the faulting instruction,
   then raises :class:`BlockFault` carrying the exact cycle/instruction
@@ -40,65 +47,45 @@ Correctness contract (the reference and fast paths are the oracles):
 Compiled blocks are cached on the decoded program (the existing decode
 cache) via :class:`SuperBlockCache`, lazily per entry pc -- jump targets
 that are never reached are never compiled.  The cache is salted with
-:data:`JIT_SALT`, a digest of this module's source (the same idiom as
-the farm's code-version salt, :func:`repro.farm.source_salt`): editing
-the compiler self-invalidates every previously built cache, so a stale
-block can never outlive the code that generated it.
+:data:`JIT_SALT`, a digest of this module's and :mod:`repro.vp.isa`'s
+source (the same idiom as the farm's code-version salt,
+:func:`repro.farm.source_salt`): editing the compiler or the opcode
+table self-invalidates every previously built cache, so a stale block
+can never outlive the code that generated it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.vp.isa import BRANCH_OPS, Instr, LINK_REGISTER, THREE_REG_OPS
-from repro.vp.iss import CYCLES, DEFAULT_CYCLES, _div32, _to_signed32
+from repro.vp.isa import (BlockFault, CANON_IFF_INPUTS, EAGER, Instr, LAZY,
+                          OPS, OpSpec, TEMPLATE_GLOBALS, template_operands,
+                          wrap_expr)
 
 # Cap on instructions fused into one block: bounds generated-function
 # size and the quantum overshoot of a batch that ends mid-block.
 MAX_BLOCK_INSTRS = 64
 
-# Branch mnemonics to the Python comparison on canonical signed images.
-_BRANCH_PY = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
-
-# Control transfers terminate a superblock (they are still batchable --
-# the executor chains into the next block at the returned pc).
-_CONTROL = BRANCH_OPS | {"jmp", "jal", "jr", "ret"}
+# Modules whose source decides what a generated block computes: the
+# opcode table and this compiler.
+_SALTED_MODULES = ("repro.vp.isa", __name__)
 
 
 def _compute_salt() -> str:
-    """Digest of this module's source: the compiled-code version salt."""
+    """Digest of the table's and the compiler's source: the
+    compiled-code version salt."""
     try:
         import inspect
         import sys
-        source = inspect.getsource(sys.modules[__name__])
+        source = "".join(inspect.getsource(sys.modules[name])
+                         for name in _SALTED_MODULES)
     except (OSError, TypeError, KeyError):
         return "jit-unversioned"
     return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
 
 
 JIT_SALT = _compute_salt()
-
-
-class BlockFault(Exception):
-    """A fault raised inside a compiled superblock.
-
-    Carries the faulting ``pc`` and the exact charge accumulated inside
-    the block call (``cycles``/``count`` include the faulting
-    instruction, matching the reference path, which charges before
-    raising; ``cost`` is the faulting instruction's own cycle cost, used
-    to split the batch delay so the error surfaces at the reference
-    cycle).
-    """
-
-    def __init__(self, pc: int, cycles: int, count: int, cost: int,
-                 detail: str) -> None:
-        super().__init__(detail)
-        self.pc = pc
-        self.cycles = cycles
-        self.count = count
-        self.cost = cost
-        self.detail = detail
 
 
 class SuperBlock:
@@ -131,40 +118,12 @@ class SuperBlock:
                 f"n={self.count} cycles={self.cycles}>")
 
 
-def _wrap_expr(expr: str) -> str:
-    """The branchless signed-32 wrap as a source expression."""
-    return f"((({expr}) + 0x80000000) & 0xFFFFFFFF) - 0x80000000"
-
-
-def _operand_regs(instr: Instr) -> Tuple[Set[int], Set[int]]:
-    """(registers read, registers written) by one batchable instruction."""
-    op = instr.op
-    args = instr.args
-    if op in THREE_REG_OPS:
-        return {args[1], args[2]}, {args[0]}
-    if op == "addi":
-        return {args[1]}, {args[0]}
-    if op == "li":
-        return set(), {args[0]}
-    if op == "mov":
-        return {args[1]}, {args[0]}
-    if op in BRANCH_OPS:
-        return {args[0], args[1]}, set()
-    if op == "jal":
-        return set(), {LINK_REGISTER}
-    if op == "jr":
-        return {args[0]}, set()
-    if op == "ret":
-        return {LINK_REGISTER}, set()
-    return set(), set()  # jmp, nop
-
-
 class _Emitter:
     """Shared per-instruction code emission with canonical-form tracking.
 
     ``canon[r]`` records whether local ``r{r}`` currently holds the
     canonical signed-32 image; locals loaded from the register file are
-    canonical by the register-file invariant (see repro.vp.iss._BINOPS).
+    canonical by the register-file invariant (see repro.vp.isa.OpSpec).
     """
 
     def __init__(self, loads: Sequence[int]) -> None:
@@ -187,7 +146,7 @@ class _Emitter:
     def ref_c(self, r: int) -> str:
         name = self.ref(r)
         if r != 0 and not self.canon[r]:
-            self.body.append(f"r{r} = {_wrap_expr(f'r{r}')}")
+            self.body.append(f"r{r} = {wrap_expr(f'r{r}')}")
             self.canon[r] = True
         return name
 
@@ -204,7 +163,7 @@ class _Emitter:
         """Force every dirty local into canonical form (backedges)."""
         for r in sorted(self.dirty):
             if not self.canon[r]:
-                self.body.append(f"r{r} = {_wrap_expr(f'r{r}')}")
+                self.body.append(f"r{r} = {wrap_expr(f'r{r}')}")
                 self.canon[r] = True
 
     def writeback(self) -> List[str]:
@@ -213,7 +172,7 @@ class _Emitter:
             if self.canon[r]:
                 out.append(f"regs[{r}] = r{r}")
             else:
-                out.append(f"regs[{r}] = {_wrap_expr(f'r{r}')}")
+                out.append(f"regs[{r}] = {wrap_expr(f'r{r}')}")
         return out
 
     def fault_writeback_here(self) -> str:
@@ -221,105 +180,73 @@ class _Emitter:
         every dirty-so-far local, wrapped unconditionally (wrapping a
         canonical value is the identity; faults are the rare path)."""
         return "; ".join(
-            f"regs[{r}] = {_wrap_expr(f'r{r}')}"
+            f"regs[{r}] = {wrap_expr(f'r{r}')}"
             for r in sorted(self.dirty)) or "pass"
 
-    # ------------------------------------------------------------------
-    def emit(self, instr: Instr, pc: int, fault_charge: str,
-             fault_writeback: str) -> None:
+    def render(self, template: str, spec: OpSpec, slots: Dict[str, int],
+               pc: int) -> str:
+        """Substitute a table template's operands: registers as locals
+        (canonicalized first when ``spec.canon`` names them), the
+        immediate and the fall-through pc as literals."""
+        values = {}
+        for name in template_operands(template):
+            if name == "n":
+                values[name] = repr(pc + 1)
+            elif name == "i":
+                values[name] = repr(slots[name])
+            elif name in spec.canon:
+                values[name] = self.ref_c(slots[name])
+            else:
+                values[name] = self.ref(slots[name])
+        return template.format(**values, t=slots.get("t"))
+
+    def assign(self, spec: OpSpec, slots: Dict[str, int], pc: int) -> None:
+        """Write ``spec.expr`` to the destination local, tracking its
+        canonical form by the op's wrap rule."""
+        inputs = [slots[name] for name in template_operands(spec.expr)
+                  if name in "ab"]
+        canon_inputs = all(self.is_canon(r) for r in inputs)
+        template = spec.expr
+        if spec.raw_expr is not None and not canon_inputs:
+            template = spec.raw_expr
+        expr = self.render(template, spec, slots, pc)
+        if spec.wrap == EAGER:
+            expr = wrap_expr(expr)
+        if spec.wrap == LAZY:
+            is_canon = False
+        elif spec.wrap == CANON_IFF_INPUTS:
+            is_canon = canon_inputs
+        else:
+            is_canon = True
+        self.write(slots["d"], expr, is_canon)
+
+    def emit(self, spec: OpSpec, slots: Dict[str, int], pc: int,
+             fault_charge: str, fault_writeback: Optional[str]) -> None:
         """Emit one non-control batchable instruction.
 
         ``fault_charge`` is a source fragment: the (cycles, count)
         expressions charged if this instruction faults -- static numbers
         for straight-line blocks, ``_t + k, _n + k`` inside loop bodies.
         ``fault_writeback`` is the architectural-state writeback to run
-        before raising: dirty-so-far for straight-line blocks, a
-        placeholder patched to the loop's full dirty set for dynamic
-        blocks (whose preamble loads every register the body touches, so
-        every writeback target is bound from iteration one).
+        before raising: ``None`` for straight-line blocks (the dirty-so-
+        far locals, built only for an op that can fault), a placeholder
+        patched to the loop's full dirty set for dynamic blocks (whose
+        preamble loads every register the body touches, so every
+        writeback target is bound from iteration one).  A write to
+        ``r0`` is dropped, but its fault check is not: a ``div`` by zero
+        into ``r0`` faults like the reference path.
         """
-        op = instr.op
-        args = instr.args
-        ref, ref_c, write = self.ref, self.ref_c, self.write
-        if op in ("add", "sub", "addi"):
-            rd, ra, rb_or_imm = args
-            if rd:
-                a = ref(ra)
-                b = str(rb_or_imm) if op == "addi" else ref(rb_or_imm)
-                sign = "-" if op == "sub" else "+"
-                write(rd, f"{a} {sign} {b}", False)
-        elif op == "mul":
-            rd, ra, rb = args
-            if rd:
-                a, b = ref(ra), ref(rb)
-                # Wrap products eagerly: deferred mul chains would square
-                # bignum widths block-long.  Sums stay lazy.
-                write(rd, _wrap_expr(f"{a} * {b}"), True)
-        elif op == "li":
-            rd, imm = args
-            if rd:
-                write(rd, repr(_to_signed32(imm)), True)
-        elif op == "mov":
-            rd, ra = args
-            if rd:
-                a = ref(ra)
-                write(rd, a, self.is_canon(ra))
-        elif op in ("and", "or", "xor"):
-            rd, ra, rb = args
-            if rd:
-                a, b = ref(ra), ref(rb)
-                sign = {"and": "&", "or": "|", "xor": "^"}[op]
-                # Masking commutes with bitwise ops, so the result is
-                # canonical exactly when both operands are.
-                write(rd, f"{a} {sign} {b}",
-                      self.is_canon(ra) and self.is_canon(rb))
-        elif op == "shl":
-            rd, ra, rb = args
-            if rd:
-                a, b = ref(ra), ref(rb)
-                write(rd, _wrap_expr(f"({a} & 0xFFFFFFFF) << ({b} & 31)"),
-                      True)
-        elif op == "shr":
-            rd, ra, rb = args
-            if rd:
-                a = ref_c(ra)  # arithmetic shift needs the signed image
-                b = ref(rb)
-                write(rd, f"{a} >> ({b} & 31)", True)
-        elif op == "slt":
-            rd, ra, rb = args
-            if rd:
-                a, b = ref_c(ra), ref_c(rb)
-                write(rd, f"1 if {a} < {b} else 0", True)
-        elif op == "sltu":
-            rd, ra, rb = args
-            if rd:
-                a, b = ref(ra), ref(rb)
-                write(rd, f"1 if ({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF) "
-                          f"else 0", True)
-        elif op == "seq":
-            rd, ra, rb = args
-            if rd:
-                a, b = ref(ra), ref(rb)
-                if self.is_canon(ra) and self.is_canon(rb):
-                    write(rd, f"1 if {a} == {b} else 0", True)
-                else:
-                    write(rd, f"1 if ({a} & 0xFFFFFFFF) == "
-                              f"({b} & 0xFFFFFFFF) else 0", True)
-        elif op == "div":
-            rd, ra, rb = args
-            b = self.ref_c(rb)
-            self.body.append(f"if {b} == 0:")
+        if spec.fault is not None:
+            if fault_writeback is None:
+                fault_writeback = self.fault_writeback_here()
+            self.body.append(
+                f"if {self.render(spec.fault, spec, slots, pc)}:")
             self.body.append(f"    {fault_writeback}")
             self.body.append(
                 f"    raise BlockFault({pc}, {fault_charge}, "
-                f"{CYCLES['div']}, 'division by zero at pc={pc}')")
-            if rd:
-                a = ref_c(ra)
-                write(rd, f"_div32({a}, {b})", True)
-        elif op == "nop":
-            pass
-        else:  # pragma: no cover - control ops handled by the caller
-            raise AssertionError(f"unexpected op {op!r} in block body")
+                f"{spec.cycles}, '{spec.fault_text} at pc={pc}')")
+        if slots.get("d") and spec.expr is not None:
+            self.assign(spec, slots, pc)
 
 
 def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
@@ -335,25 +262,25 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
 
     # ------------------------------------------------------------------
     # Pass 1: scan the run of batchable instructions and classify.
-    run: List[Instr] = []
+    # Each instruction's table entry and operands.
+    run: List[Tuple[OpSpec, Dict[str, int]]] = []
     pc = start
-    terminator: Optional[Instr] = None
     while pc < n and len(run) < MAX_BLOCK_INSTRS and batchable[pc]:
-        instr = instrs[pc]
-        run.append(instr)
-        if instr.op in _CONTROL:
-            terminator = instr
-            pc += 1
-            break
+        spec = OPS[instrs[pc].op]
+        run.append((spec, spec.bind(instrs[pc].args)))
         pc += 1
+        if spec.next is not None:
+            break
     end = pc
     if not run:
         return None
+    # The control transfer ending the block, if any.
+    term_spec, term_slots = run.pop() if run[-1][0].next else (None, {})
 
     # A conditional branch back to the leader closes a hot loop: compile
     # it as a budget-bounded internal while (a *loop superblock*).
-    dynamic = (terminator is not None and terminator.op in BRANCH_OPS
-               and terminator.args[2] == start)
+    dynamic = (term_spec is not None and term_spec.test is not None
+               and term_slots["t"] == start)
 
     # Registers read before written need a hoisted load.  Dynamic blocks
     # additionally preload every register the body *writes*: a fault in
@@ -361,10 +288,11 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
     # must already be bound (to their unchanged architectural values).
     written: Set[int] = set()
     loads: Set[int] = set()
-    for instr in run:
-        reads, writes = _operand_regs(instr)
-        loads |= {r for r in reads if r and r not in written}
-        written |= {r for r in writes if r}
+    for _spec, slots in run + [(term_spec, term_slots)]:
+        loads |= {slots[name] for name in "ab"
+                  if slots.get(name) and slots[name] not in written}
+        if slots.get("d"):
+            written.add(slots["d"])
     if dynamic:
         loads |= written
 
@@ -375,18 +303,15 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
     count = 0
     last_cost = 0
     body_pc = start
-    for instr in run:
-        cost = CYCLES.get(instr.op, DEFAULT_CYCLES)
-        if instr.op in _CONTROL:
-            break
+    fault_writeback = "__FAULT_WRITEBACK__" if dynamic else None
+    for spec, slots in run:
+        cost = spec.cycles
         if dynamic:
             fault_charge = (f"_t + {cycles_total + cost}, "
                             f"_n + {count + 1}")
-            fault_writeback = "__FAULT_WRITEBACK__"
         else:
             fault_charge = f"{cycles_total + cost}, {count + 1}"
-            fault_writeback = emitter.fault_writeback_here()
-        emitter.emit(instr, body_pc, fault_charge, fault_writeback)
+        emitter.emit(spec, slots, body_pc, fault_charge, fault_writeback)
         cycles_total += cost
         count += 1
         last_cost = cost
@@ -394,24 +319,23 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
 
     body = emitter.body
 
-    if terminator is not None:
-        op = terminator.op
-        cost = CYCLES.get(op, DEFAULT_CYCLES)
+    if term_spec is not None:
+        cost = term_spec.cycles
         cycles_total += cost
         count += 1
         last_cost = cost
-        if op == "jal" and LINK_REGISTER:
-            emitter.write(LINK_REGISTER, repr(body_pc + 1), True)
+        if term_spec.expr is not None:   # jal's link write
+            emitter.assign(term_spec, term_slots, body_pc)
         if dynamic:
-            ra, rb, _target = terminator.args
-            a, b = emitter.ref_c(ra), emitter.ref_c(rb)
+            test = emitter.render(term_spec.test, term_spec, term_slots,
+                                  body_pc)
             # Backedge: every local must re-enter the loop canonical,
             # because the next iteration was compiled under the same
             # all-canonical entry assumption the first one was.
             emitter.canonicalize_dirty()
             body.append(f"_t += {cycles_total}")
             body.append(f"_n += {count}")
-            body.append(f"if not ({a} {_BRANCH_PY[op]} {b}):")
+            body.append(f"if not ({test}):")
             for line in emitter.writeback():
                 body.append(f"    {line}")
             body.append(f"    return {body_pc + 1}, _t, _n")
@@ -419,22 +343,18 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
             for line in emitter.writeback():
                 body.append(f"    {line}")
             body.append(f"    return {start}, _t, _n")
-        elif op in BRANCH_OPS:
-            ra, rb, target = terminator.args
-            a, b = emitter.ref_c(ra), emitter.ref_c(rb)
+        elif term_spec.test is not None:
+            test = emitter.render(term_spec.test, term_spec, term_slots,
+                                  body_pc)
             body.extend(emitter.writeback())
-            body.append(f"if {a} {_BRANCH_PY[op]} {b}:")
-            body.append(f"    return {target}")
+            body.append(f"if {test}:")
+            body.append(f"    return {term_slots['t']}")
             body.append(f"return {body_pc + 1}")
-        elif op in ("jmp", "jal"):
+        else:
+            target = emitter.render(term_spec.next, term_spec, term_slots,
+                                    body_pc)
             body.extend(emitter.writeback())
-            body.append(f"return {terminator.args[0]}")
-        else:  # jr / ret
-            source_reg = (terminator.args[0] if op == "jr"
-                          else LINK_REGISTER)
-            t = emitter.ref_c(source_reg)
-            body.extend(emitter.writeback())
-            body.append(f"return {t}")
+            body.append(f"return {target}")
     else:
         body.extend(emitter.writeback())
         body.append(f"return {end}")
@@ -456,7 +376,7 @@ def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
         source = source.replace("__FAULT_WRITEBACK__",
                                 emitter.fault_writeback_here())
 
-    namespace = {"_div32": _div32, "BlockFault": BlockFault}
+    namespace = dict(TEMPLATE_GLOBALS)
     exec(compile(source, f"<superblock pc={start}>", "exec"),  # noqa: S102
          namespace)
     return SuperBlock(namespace["_sb"], cycles_total, count, last_cost,
@@ -519,7 +439,7 @@ def compile_lane_superblock(instrs: Sequence[Instr],
     if scalar is None:
         return None
     source = _lane_wrap_source(scalar.source, scalar.dynamic)
-    namespace = {"_div32": _div32, "BlockFault": BlockFault}
+    namespace = dict(TEMPLATE_GLOBALS)
     exec(compile(source, f"<lane superblock pc={start}>", "exec"),  # noqa: S102
          namespace)
     return SuperBlock(namespace["_vb"], scalar.cycles, scalar.count,

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.vp.jit import BlockFault
+from repro.vp.isa import BlockFault
 
 
 class LaneResult:
@@ -78,12 +78,38 @@ class LaneResult:
         self.decoded = decoded
 
 
+def run_handler_chain(decoded, regs: List[int], pc: int,
+                      quantum: int) -> LaneResult:
+    """Retire one quantum-bounded batch of fast-tier handlers starting
+    at ``pc``, one decoded handler per instruction (the ``fast``
+    backend's batch).  Only a :class:`BlockFault` is charged and
+    returned; any other exception propagates at once, before the core
+    yields or charges anything."""
+    handlers = decoded.handlers
+    cycles = decoded.cycles
+    batchable = decoded.batchable
+    n = decoded.n
+    total = 0
+    count = 0
+    while True:
+        cost = cycles[pc]
+        try:
+            pc = handlers[pc](regs)
+        except BlockFault as error:
+            return LaneResult(error.pc, total + error.cycles,
+                              count + error.count, error.cost,
+                              error.detail)
+        total += cost
+        count += 1
+        if total >= quantum or not 0 <= pc < n or not batchable[pc]:
+            return LaneResult(pc, total, count, cost)
+
+
 def run_superblock_chain(decoded, regs: List[int], pc: int,
                          quantum: int) -> LaneResult:
     """Retire one quantum-bounded batch of scalar superblocks starting
-    at ``pc`` -- the same chain the compiled backend runs inline in
-    :meth:`repro.vp.iss.Cpu._run`, reused here for solo lanes and for
-    the twins-share-one-execution tier."""
+    at ``pc`` -- the compiled backend's batch, also run here for solo
+    lanes and for the twins-share-one-execution tier."""
     sblocks = decoded.superblocks()
     get_block = sblocks.get
     batchable = decoded.batchable
@@ -275,5 +301,5 @@ class LaneGroup:
         return leader_result
 
 
-__all__ = ["LaneGroup", "LaneResult", "run_lane_chain",
+__all__ = ["LaneGroup", "LaneResult", "run_handler_chain", "run_lane_chain",
            "run_superblock_chain"]

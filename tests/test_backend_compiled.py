@@ -115,6 +115,23 @@ class TestCacheAndSalt:
         assert rebuilt is not cache
         assert rebuilt.salt == JIT_SALT
 
+    def test_salt_covers_the_opcode_table(self, monkeypatch):
+        # Superblocks are generated from repro.vp.isa's opcode table, so
+        # an edited table (then reloaded) must not reuse stale blocks.
+        import inspect
+
+        from repro.vp import isa, jit
+
+        real_getsource = inspect.getsource
+
+        def edited(obj):
+            source = real_getsource(obj)
+            return source + "# edited\n" if obj is isa else source
+
+        assert jit._compute_salt() == JIT_SALT
+        monkeypatch.setattr(inspect, "getsource", edited)
+        assert jit._compute_salt() != JIT_SALT
+
     def test_cache_is_shared_across_cores(self):
         program = assemble("li r1, 0\nli r2, 9\nloop: addi r1, r1, 1\n"
                            "blt r1, r2, loop\nhalt\n")

@@ -17,17 +17,19 @@ in the *harness's own* early scenario generator, pinned below:
    (``test_nonterminating_scenario_is_rejected_not_diverged``).
 
 The pipeline itself is proven against a planted backend bug: ``xor`` is
-broken in the fast tier's decode-time op table (the reference path
-inlines its ops and the compiled tier generates its own source, so only
-the fast tier drifts), then the real harness finds it, the real
-shrinker minimizes it, and the emitted regression pins it.
+broken in the opcode table (``repro.vp.isa.OPS``) that the fast tier's
+handlers and the compiled/vector tiers' superblocks are generated from,
+while the reference path keeps its hand-written ops -- so exactly the
+three batching tiers drift.  The real harness finds it, the real shrinker
+minimizes it, and the emitted regression pins it.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-import repro.vp.iss as iss
+import repro.vp.isa as isa
 from repro.gen import (
     compare_scenario,
     differential_job,
@@ -39,18 +41,20 @@ from repro.gen import (
 
 
 @pytest.fixture
-def broken_fast_xor():
-    """Plant a wrong ``xor`` in the fast tier's decode-time op table."""
-    good = iss._BINOPS["xor"]
-    iss._BINOPS["xor"] = lambda a, b: (a ^ b) ^ 1
+def broken_table_xor():
+    """Plant a wrong ``xor`` in the opcode table.  Nothing is derived
+    from an entry at import time: handlers and superblocks are generated
+    per decoded program, and every scenario assembles fresh programs."""
+    good = isa.OPS["xor"]
+    isa.OPS["xor"] = dataclasses.replace(good, expr="({a} ^ {b}) ^ 1")
     try:
         yield
     finally:
-        iss._BINOPS["xor"] = good
+        isa.OPS["xor"] = good
 
 
 class TestShrinkToRegressionPipeline:
-    def test_planted_bug_is_found_shrunk_and_pinned(self, broken_fast_xor):
+    def test_planted_bug_is_found_shrunk_and_pinned(self, broken_table_xor):
         # 1. the fuzzer finds the planted bug within a handful of seeds
         found = None
         for seed in range(20):
@@ -59,7 +63,10 @@ class TestShrinkToRegressionPipeline:
                 found = result
                 break
         assert found is not None, "planted xor bug not found in 20 seeds"
-        assert all(m["backend"] == "fast" for m in found["mismatches"])
+        # Every tier generated from the table diverges; the hand-written
+        # reference (the oracle every leg is compared against) does not.
+        assert {m["backend"] for m in found["mismatches"]} == \
+            {"fast", "compiled", "vector"}
 
         # 2. the shrinker minimizes it while re-checking every edit
         scenario = found["scenario"]

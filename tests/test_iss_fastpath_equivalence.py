@@ -17,10 +17,14 @@ matrix); ``=reference`` degrades the suite to a reference-path smoke run.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
+import pytest
+
 from repro.vp import HardwareProbe, SoC, SoCConfig, assemble
+from repro.vp.isa import OPS
 from repro.vp.soc import SEM_BASE
 
 FAST_QUANTUM = 64
@@ -282,3 +286,93 @@ class TestInterruptDifferential:
             {0: program}, irq_vector=program.label("isr"), setup=route)
         assert ref["ram"][60] == 77
         assert ref["states"][0].halted
+
+
+# ---------------------------------------------------------------------------
+# table-driven operand corners
+# ---------------------------------------------------------------------------
+
+_CORNER_GRID = [-2**31, -1, 0, 1, 31, 32, 2**31 - 1]
+# Every op of the table that computes from its operands (no control
+# transfer, no bus or mode interaction), named by the table itself.
+_CORNER_OPS = sorted(name for name, spec in OPS.items()
+                     if not spec.sync and spec.next is None)
+_CORNER_REGS = {"d": "r3", "a": "r1", "b": "r2"}
+
+
+def _overflowing_chain(reg, value, up):
+    """Materialize ``value`` in ``reg`` with an overflowing ``addi``
+    chain.  The reference wraps at each step; inside a compiled block
+    the local ends up at ``value + 2**32`` (``up``) or ``value - 2**32``,
+    congruent but not canonical.  The two source operands get opposite
+    offsets, so an op that compares them without canonicalizing first
+    cannot agree with the reference by accident."""
+    steps = [2**31 - 1, 2**31 - 1, 2] if up else [-2**31, -2**31]
+    return ([f"    addi {reg}, r0, {value}"]
+            + [f"    addi {reg}, {reg}, {step}" for step in steps])
+
+
+def _corner_case(op, values):
+    """One instance of ``op`` over one grid point, its result stored."""
+    spec = OPS[op]
+    inputs = dict(zip([slot for slot in spec.shape if slot in "abi"],
+                      values))
+    lines = []
+    for slot in ("a", "b"):
+        if slot in inputs:
+            lines += _overflowing_chain(_CORNER_REGS[slot], inputs[slot],
+                                        up=slot == "b")
+    operands = [str(inputs["i"]) if slot == "i" else _CORNER_REGS[slot]
+                for slot in spec.shape]
+    lines.append(f"    {op} {', '.join(operands)}".rstrip())
+    return lines
+
+
+def _faults(op, values):
+    spec = OPS[op]
+    if spec.fault is None:
+        return False
+    inputs = dict(zip([slot for slot in spec.shape if slot in "abi"],
+                      values))
+    return eval(spec.fault.format(**inputs))  # noqa: S307 - table text
+
+
+def _run_capturing(asm, backend, quantum):
+    soc = SoC(SoCConfig(n_cores=1, quantum=quantum, backend=backend),
+              {0: asm})
+    try:
+        soc.run()
+        error = None
+    except RuntimeError as exc:
+        error = str(exc)
+    return {"error": error, "state": soc.cores[0].state(),
+            "now": soc.sim.now, "ram": [soc.mem(i) for i in range(64)]}
+
+
+@pytest.mark.parametrize("op", _CORNER_OPS)
+def test_table_op_corners_on_non_canonical_inputs(op):
+    """Every non-control op of the opcode table, over the operand grid
+    {INT_MIN, -1, 0, 1, 31, 32, INT_MAX}, with each register operand
+    produced by an overflowing addi chain: every batching tier must be
+    bit-identical to the hand-written reference at quantum=1.  Grid
+    points where the op faults each run as their own program, ending in
+    the fault."""
+    spec = OPS[op]
+    arity = sum(1 for slot in spec.shape if slot in "abi")
+    points = list(itertools.product(_CORNER_GRID, repeat=arity))
+    main = []
+    stored = 0
+    programs = []
+    for values in points:
+        case = _corner_case(op, values)
+        if _faults(op, values):
+            programs.append("\n".join(case) + "\n    halt\n")
+        else:
+            main += case + [f"    sw r3, {stored}(r0)"]
+            stored += 1
+    programs.append("\n".join(main) + "\n    halt\n")
+    for asm in programs:
+        ref = _run_capturing(asm, "reference", 1)
+        for backend in BATCHING_BACKENDS:
+            got = _run_capturing(asm, backend, FAST_QUANTUM)
+            assert got == ref, (backend, asm)

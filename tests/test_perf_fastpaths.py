@@ -64,6 +64,31 @@ class TestDecodeCache:
                       {0: "li r1, 1\nli r2, 0\ndiv r0, r1, r2\nhalt\n"})
             soc.run()
 
+    def test_non_fault_exception_in_a_batch_propagates_uncharged(self):
+        # Only a BlockFault is held back to surface at its reference
+        # cycle.  Anything else raised inside a fast-tier batch -- an
+        # interrupt, MemoryError, a handler bug -- must propagate at
+        # once: not after the batch delays (other cores would keep
+        # running meanwhile), and with nothing charged to the core.
+        class HandlerBug(Exception):
+            pass
+
+        soc = SoC(SoCConfig(n_cores=1, backend="fast"),
+                  {0: "li r1, 1\naddi r1, r1, 1\naddi r1, r1, 1\nhalt\n"})
+        decoded = decode_program(soc.cores[0].program)
+
+        def broken(regs):
+            raise HandlerBug("boom")
+
+        decoded.handlers[2] = broken
+        with pytest.raises(HandlerBug, match="boom"):
+            soc.run()
+        core = soc.cores[0]
+        assert soc.sim.now == 0
+        assert core.cycle_count == 0
+        assert core.instr_count == 0
+        assert core.pc == 0
+
 
 # ---------------------------------------------------------------------------
 # quantum knob
