@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # The CI iss-equivalence job: each ISS backend must stay bit-identical to
 # the quantum=1 reference, one leg per backend.
-ISS_BACKENDS = reference fast compiled vector
+ISS_BACKENDS = reference compiled vector
 ISS_EQUIVALENCE_TESTS = tests/test_iss_fastpath_equivalence.py \
 	tests/test_backend_compiled.py tests/test_cir_iss_differential.py \
 	tests/test_backend_vector.py tests/test_lane_divergence.py \

@@ -38,10 +38,11 @@ The opcode table
 ----------------
 :data:`OPS` describes every opcode once -- operand shape, cycle cost,
 expression templates, fault condition, wrap rule (:class:`OpSpec`).
-The assembler encodes by its shapes, and the ISS's batching tiers are
-generated from it: the fast tier's handlers (:mod:`repro.vp.iss`) and
-the superblock compiler (:mod:`repro.vp.jit`).  The reference path,
-``Cpu._execute``, is the one hand-written copy, kept as the oracle.
+The assembler encodes by its shapes, the ISS decode reads cycle costs
+and the batchable/sync split from it (:mod:`repro.vp.iss`), and the
+superblock compiler behind the batching tiers generates its code from
+it (:mod:`repro.vp.jit`).  The reference path, ``Cpu._execute``, is the
+one hand-written copy, kept as the oracle.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def _div32(a: int, b: int) -> int:
 
 
 class BlockFault(Exception):
-    """A fault raised inside a batch (a fast-tier handler or a compiled
-    superblock).
+    """A fault raised inside a batch (a compiled superblock).
 
     Carries the faulting ``pc`` and the exact charge accumulated inside
     the call (``cycles``/``count`` include the faulting instruction,
@@ -97,8 +97,7 @@ class BlockFault(Exception):
         self.detail = detail
 
 
-# The globals generated batch code runs under (fast-tier handlers and
-# compiled superblocks).
+# The globals generated batch code (compiled superblocks) runs under.
 TEMPLATE_GLOBALS = {"_div32": _div32, "BlockFault": BlockFault}
 
 
@@ -121,8 +120,8 @@ _OPERANDS = "abin"
 @dataclass(frozen=True, eq=False)
 class OpSpec:
     """One opcode's semantics: the single description the batching
-    tiers are generated from (the ``fast`` handlers in
-    :mod:`repro.vp.iss`, the superblock emitter in :mod:`repro.vp.jit`).
+    tiers are generated from (the superblock emitter in
+    :mod:`repro.vp.jit`).
     The reference path, ``Cpu._execute``, is written by hand on purpose:
     it is the oracle the equivalence tests hold the table against.
 

@@ -19,15 +19,13 @@ timed platforms, the core therefore batches *local* progress -- straight
 runs of ALU/branch instructions that touch nothing outside the register
 file -- into a single ``yield Delay(total)``, bounded by a configurable
 time ``quantum``.  Each :class:`AsmProgram` is pre-decoded once into
-dispatch-ready handler closures (the *decode cache*, invalidated when the
-program object or its length changes; call :func:`invalidate_decode`
-after editing instructions in place).
-
-The handlers, their cycle costs and the batchable/sync split are all
-generated from the opcode table (:data:`repro.vp.isa.OPS`), which also
-drives the superblock compiler (:mod:`repro.vp.jit`).  The reference
-path, :meth:`Cpu._execute`, is written by hand on purpose: it is the
-oracle the equivalence tests and the differential fuzzer hold the table
+per-pc cycle costs and batchable flags (the *decode cache*, invalidated
+when the program object or its length changes; call
+:func:`invalidate_decode` after editing instructions in place), and a
+batch runs as a chain of superblocks compiled from the opcode table
+(:data:`repro.vp.isa.OPS`) by :mod:`repro.vp.jit`.  The reference path,
+:meth:`Cpu._execute`, is written by hand on purpose: it is the oracle
+the equivalence tests and the differential fuzzer hold the table
 against, and a copy generated from the same table could not see a table
 bug.
 
@@ -54,28 +52,26 @@ per-instruction behavior event for event.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.desim import Delay, Signal, Simulator
 from repro.vp import jit
 from repro.vp.bus import Bus
-from repro.vp.isa import (AsmProgram, EAGER, Instr, LAZY, LINK_REGISTER, OPS,
-                          OpSpec, REGISTER_COUNT, TEMPLATE_GLOBALS,
-                          template_operands, to_signed32, wrap_expr)
-from repro.vp.lanes import run_handler_chain, run_superblock_chain
+from repro.vp.isa import (AsmProgram, Instr, LINK_REGISTER, OPS, OpSpec,
+                          REGISTER_COUNT, to_signed32)
+from repro.vp.lanes import run_superblock_chain
 
 DEFAULT_QUANTUM = 64
 
 # Execution backend tiers (see Cpu.__init__, repro.vp.jit and
 # repro.vp.lanes): "reference" is the event-exact per-instruction
-# oracle, "fast" the closure-dispatch batcher, "compiled" the
-# superblock-compiled batcher, "vector" the lane-lockstep tier that
-# retires superblock batches for all convergent homogeneous cores in
-# one step (degrading to "compiled" for cores with no lane group).
-BACKENDS = ("reference", "fast", "compiled", "vector")
-DEFAULT_BACKEND = "fast"
+# oracle, "compiled" the superblock-compiled batcher, "vector" the
+# lane-lockstep tier that retires superblock batches for all convergent
+# homogeneous cores in one step (degrading to "compiled" for cores with
+# no lane group).
+BACKENDS = ("reference", "compiled", "vector")
+DEFAULT_BACKEND = "compiled"
 
 _MASK32 = 0xFFFFFFFF
 
@@ -138,122 +134,26 @@ class CoreState:
 # Cpu._execute when the reference path reaches it.
 _UNKNOWN_OP = OpSpec("", sync=True)
 
-# How generated handler code names each operand slot, and how it reads
-# each template operand.
-_SLOT_NAMES = {"d": "rd", "a": "ra", "b": "rb", "i": "i", "t": "t"}
-_HANDLER_ARGS = {"a": "regs[ra]", "b": "regs[rb]", "i": "i", "n": "nxt",
-                 "t": "t"}
-_HANDLER_NAMES = ("rd", "ra", "rb", "i", "t", "nxt", "pc", "value", "fn",
-                  "test", "fault")
-# Generated handler factories by table entry (OpSpec hashes by identity).
-_FACTORIES: Dict[OpSpec, Callable] = {}
-
-
-def _call(name: str, template: str) -> str:
-    args = ", ".join(_HANDLER_ARGS[o] for o in template_operands(template))
-    return f"{name}({args})"
-
-
-def _handler_def(body: List[str], indent: str) -> List[str]:
-    """``def handler(regs)`` over ``body``, binding every free name it
-    uses as a default argument (fast locals, no closure cells)."""
-    text = "\n".join(body)
-    bound = ", ".join(f"{name}={name}" for name in _HANDLER_NAMES
-                      if re.search(rf"\b{name}\b", text))
-    return ([f"{indent}def handler(regs, {bound}):"]
-            + [f"{indent}    {line}" for line in body]
-            + [f"{indent}return handler"])
-
-
-def _handler_factory(spec: OpSpec) -> Callable:
-    """``make(args, pc) -> handler`` for one table entry (generated once
-    per op, see :func:`_compile_handler`).
-
-    A handler mutates the register file in place and returns the next
-    pc.  The templates stay behind calls to per-op lambdas (``fn``,
-    ``test``, ``fault``); since the register file only ever holds
-    canonical images (every writer that can leave the signed-32 range
-    wraps, and ``r0`` is never written), ``fn`` reads registers raw and
-    wraps lazy and eager results on the spot.  A handler for ``rd ==
-    r0`` drops the write but keeps the fault check: a ``div`` by zero
-    into ``r0`` faults like the reference path.
-    """
-    lines = []
-    for name, template in (("fn", spec.expr), ("test", spec.test),
-                           ("fault", spec.fault)):
-        if template is not None:
-            body = template.format(**{o: o for o in "abin"})
-            if name == "fn" and spec.wrap in (LAZY, EAGER):
-                body = wrap_expr(body)
-            params = ", ".join(template_operands(template))
-            lines.append(f"{name} = lambda {params}: {body}")
-    lines.append("def make(args, pc):")
-    if spec.shape:
-        names = ", ".join(_SLOT_NAMES[slot] for slot in spec.shape)
-        lines.append(f"    {names}, = args")
-    if spec.link:
-        lines.append(f"    {_SLOT_NAMES[spec.link]} = {LINK_REGISTER}")
-    if "i" in spec.shape:
-        lines.append(f"    i = {wrap_expr('i')}")
-    lines.append("    nxt = pc + 1")
-    body = []
-    if spec.fault is not None:
-        body.append(f"if {_call('fault', spec.fault)}:")
-        body.append(f"    raise BlockFault(pc, {spec.cycles}, 1, "
-                    f"{spec.cycles}, '{spec.fault_text} at pc=%d' % pc)")
-    if spec.test is not None:
-        body.append(f"return t if {_call('test', spec.test)} else nxt")
-    else:
-        target = spec.next.format(**_HANDLER_ARGS) if spec.next else "nxt"
-        body.append(f"return {target}")
-    if spec.expr is not None:
-        value = _call("fn", spec.expr)
-        if not {"a", "b"} & set(template_operands(spec.expr)):
-            lines.append(f"    value = {value}")   # decode-time constant
-            value = "value"
-        lines.append("    if rd:")
-        lines += _handler_def([*body[:-1], f"regs[rd] = {value}", body[-1]],
-                              "        ")
-    lines += _handler_def(body, "    ")
-    namespace = dict(TEMPLATE_GLOBALS)
-    exec("\n".join(lines), namespace)  # noqa: S102
-    return namespace["make"]
-
-
-def _compile_handler(instr: Instr, pc: int):
-    """The fast-tier handler ``handler(regs) -> next_pc`` of one
-    instruction, or ``None`` at a sync boundary (executed on the
-    reference path)."""
-    spec = OPS.get(instr.op, _UNKNOWN_OP)
-    if spec.sync:
-        return None
-    make = _FACTORIES.get(spec)
-    if make is None:
-        make = _FACTORIES[spec] = _handler_factory(spec)
-    return make(instr.args, pc)
-
-
 class DecodedProgram:
     """Dispatch-ready decode of one :class:`AsmProgram`.
 
-    Three parallel tables indexed by pc: per-instruction ``cycles``,
-    whether the instruction is ``batchable`` (no observable interaction),
-    and the compiled ``handlers`` (``None`` at sync boundaries).  The
-    superblock cache of the compiled backend (:mod:`repro.vp.jit`) hangs
-    off the same object, so one decode invalidation drops both tiers.
+    Two parallel tables indexed by pc: per-instruction ``cycles`` and
+    whether the instruction is ``batchable`` (no observable interaction,
+    read from the opcode table's ``sync`` flag).  The superblock caches
+    of the compiled and vector backends (:mod:`repro.vp.jit`) hang off
+    the same object, so one decode invalidation drops both.
     """
 
-    __slots__ = ("n", "cycles", "batchable", "handlers", "_source_list",
+    __slots__ = ("n", "cycles", "batchable", "_source_list",
                  "_superblocks", "_laneblocks")
 
     def __init__(self, program: AsmProgram) -> None:
         instrs = program.instructions
         self._source_list = instrs
         self.n = len(instrs)
-        self.cycles = [OPS.get(i.op, _UNKNOWN_OP).cycles for i in instrs]
-        self.handlers = [_compile_handler(instr, pc)
-                         for pc, instr in enumerate(instrs)]
-        self.batchable = [h is not None for h in self.handlers]
+        specs = [OPS.get(i.op, _UNKNOWN_OP) for i in instrs]
+        self.cycles = [spec.cycles for spec in specs]
+        self.batchable = [not spec.sync for spec in specs]
         self._superblocks = None
         self._laneblocks = None
 
@@ -311,10 +211,10 @@ def invalidate_decode(program: AsmProgram) -> None:
     :meth:`DecodedProgram.matches`, which compares against the live
     instruction list -- an in-place edit keeps that list identical, so
     an unlinked-but-unpoisoned decode would keep matching and the core
-    would keep executing stale handlers and stale compiled superblocks
-    (scalar and lane caches both hang off the decode).  Clearing
-    ``_source_list`` makes every future ``matches()`` fail, forcing a
-    re-decode, and drops both compiled-tier caches with it.
+    would keep executing stale compiled superblocks (scalar and lane
+    caches both hang off the decode).  Clearing ``_source_list`` makes
+    every future ``matches()`` fail, forcing a re-decode, and drops both
+    compiled-tier caches with it.
     """
     decoded = getattr(program, "_iss_decoded", None)
     if decoded is not None:
@@ -357,11 +257,11 @@ class Cpu:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
         self.quantum = quantum
         # Execution backend tier.  "reference" pins the event-exact
-        # per-instruction path regardless of quantum; "fast" is the
-        # decode-cache closure batcher; "compiled" retires whole
-        # superblocks per generated-function call (repro.vp.jit).  All
-        # three are bit-identical; the sync-boundary rules above apply
-        # unchanged to both batching tiers.
+        # per-instruction path regardless of quantum; "compiled" retires
+        # whole superblocks per generated-function call (repro.vp.jit);
+        # "vector" steps lane groups (repro.vp.lanes).  All three are
+        # bit-identical; the sync-boundary rules above apply unchanged
+        # to both batching tiers.
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {sorted(BACKENDS)}, "
                              f"got {backend!r}")
@@ -590,19 +490,15 @@ class Cpu:
                         raise RuntimeError(f"{self.name}: {result.fault}")
                     continue
                 if decoded.batchable[self.pc]:
-                    # Scalar batching tiers: one call retires a quantum-
-                    # bounded batch of local instructions in place --
-                    # "fast" through the decoded handlers, "compiled"
-                    # (and "vector" for a core with no lane group)
-                    # through generated superblocks, chained until the
-                    # budget is spent or a sync boundary is reached.
-                    # The compiled tier rounds the quantum up to block
-                    # granularity: legal because blocks contain no
-                    # observable interaction.
-                    chain = (run_handler_chain if self.backend == "fast"
-                             else run_superblock_chain)
-                    result = chain(decoded, self.regs, self.pc,
-                                   self.quantum)
+                    # Scalar batching: one call retires a quantum-bounded
+                    # batch of local instructions in place through
+                    # generated superblocks ("compiled", and "vector" for
+                    # a core with no lane group), chained until the
+                    # budget is spent or a sync boundary is reached.  The
+                    # quantum rounds up to block granularity: legal
+                    # because blocks contain no observable interaction.
+                    result = run_superblock_chain(decoded, self.regs,
+                                                  self.pc, self.quantum)
                     total = result.total
                     cost = result.cost
                     # Two kernel events per batch, not one: the final

@@ -1,24 +1,23 @@
-"""Superblock-compiled ISS backend (``SoCConfig.backend = "compiled"``).
+"""Superblock-compiled ISS backend (``SoCConfig.backend = "compiled"``,
+the default).
 
-The temporally-decoupled fast path (repro.vp.iss) already batches local
-instructions into one kernel event, but still pays one Python closure
-dispatch per retired instruction.  This module removes that last per-
-instruction cost: each *superblock* -- a maximal run of batchable
-instructions from an entry pc up to and including the first control
-transfer (or up to the first synchronization boundary) -- is compiled
-once into a single generated-Python function that keeps live registers
-in Python locals and re-enters the register file only at block exits.
-One function call then retires a whole block; a self-looping block (a
-conditional branch back to its own leader, the hot-loop shape) is
-compiled to an internal ``while`` that retires *many iterations* per
-call, bounded by the caller's remaining quantum budget.
+The temporally-decoupled fast path (repro.vp.iss) batches local
+instructions into one kernel event; this module retires the batch
+without any per-instruction dispatch: each *superblock* -- a maximal run
+of batchable instructions from an entry pc up to and including the first
+control transfer (or up to the first synchronization boundary) -- is
+compiled once into a single generated-Python function that keeps live
+registers in Python locals and re-enters the register file only at
+block exits.  One function call then retires a whole block; a
+self-looping block (a conditional branch back to its own leader, the
+hot-loop shape) is compiled to an internal ``while`` that retires *many
+iterations* per call, bounded by the caller's remaining quantum budget.
 
 Every instruction's code is generated from the opcode table,
-:data:`repro.vp.isa.OPS` -- the same table the fast tier's handlers are
-generated from: :meth:`_Emitter.emit` substitutes locals into the op's
-expression template and applies its wrap rule, and the block terminator
-comes from the op's ``test``/``next`` templates.  No opcode is spelled
-out here.
+:data:`repro.vp.isa.OPS`: :meth:`_Emitter.emit` substitutes locals into
+the op's expression template and applies its wrap rule, and the block
+terminator comes from the op's ``test``/``next`` templates.  No opcode
+is spelled out here.
 
 Correctness contract (the hand-written reference path is the oracle):
 
@@ -52,10 +51,20 @@ source (the same idiom as the farm's code-version salt,
 :func:`repro.farm.source_salt`): editing the compiler or the opcode
 table self-invalidates every previously built cache, so a stale block
 can never outlive the code that generated it.
+
+Below those caches, compilation itself is memoized process-wide by
+block *content* (:func:`_compile_run`, :func:`_compile_lane_run`): the
+key is the entry pc plus the block's run of ``(OpSpec, args)`` pairs,
+so the many programs a run assembles from the same source -- and the
+common blocks of distinct generated programs -- share one compiled
+function.  :class:`~repro.vp.isa.OpSpec` hashes by identity, so a block
+built from a since-replaced table entry can never be reused for the new
+entry.  Each memo is an LRU bounded by :data:`MEMO_BLOCKS`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -66,6 +75,17 @@ from repro.vp.isa import (BlockFault, CANON_IFF_INPUTS, EAGER, Instr, LAZY,
 # Cap on instructions fused into one block: bounds generated-function
 # size and the quantum overshoot of a batch that ends mid-block.
 MAX_BLOCK_INSTRS = 64
+
+# Bound of each process-wide compiled-block memo (scalar and lane form,
+# see _compile_run).  One mpsocbench platform round compiles 139
+# distinct blocks, so 128 would thrash it.  Over 300 in-process fuzz
+# jobs the bound keeps nearly all of the unbounded memo's hits while
+# holding the process's RSS growth to about half (+3.4 MB vs +7.9 MB):
+# daemon farm workers see new programs every job.
+MEMO_BLOCKS = 256
+
+# A block's content, the memo key: its (table entry, operands) run.
+BlockRun = Tuple[Tuple[OpSpec, Tuple], ...]
 
 # Modules whose source decides what a generated block computes: the
 # opcode table and this compiler.
@@ -249,31 +269,44 @@ class _Emitter:
             self.assign(spec, slots, pc)
 
 
+def _block_run(instrs: Sequence[Instr], batchable: Sequence[bool],
+               start: int) -> BlockRun:
+    """The content of the superblock whose leader is ``start``: each
+    fused instruction's table entry and operands.  A run is empty when
+    ``start`` is a synchronization boundary."""
+    run = []
+    pc = start
+    n = len(instrs)
+    while 0 <= pc < n and len(run) < MAX_BLOCK_INSTRS and batchable[pc]:
+        instr = instrs[pc]
+        spec = OPS[instr.op]
+        run.append((spec, instr.args))
+        pc += 1
+        if spec.next is not None:
+            break
+    return tuple(run)
+
+
 def compile_superblock(instrs: Sequence[Instr], batchable: Sequence[bool],
                        start: int) -> Optional[SuperBlock]:
-    """Compile the superblock whose leader is ``start``.
+    """Compile (or fetch from the memo) the superblock whose leader is
+    ``start``.
 
     Returns ``None`` when ``start`` is a synchronization boundary (the
     caller must take the reference path for that instruction).
     """
-    n = len(instrs)
-    if not 0 <= start < n or not batchable[start]:
-        return None
+    run = _block_run(instrs, batchable, start)
+    return _compile_run(start, run) if run else None
 
+
+@functools.lru_cache(maxsize=MEMO_BLOCKS)
+def _compile_run(start: int, content: BlockRun) -> SuperBlock:
+    """Generate the scalar superblock for one block content."""
     # ------------------------------------------------------------------
-    # Pass 1: scan the run of batchable instructions and classify.
-    # Each instruction's table entry and operands.
-    run: List[Tuple[OpSpec, Dict[str, int]]] = []
-    pc = start
-    while pc < n and len(run) < MAX_BLOCK_INSTRS and batchable[pc]:
-        spec = OPS[instrs[pc].op]
-        run.append((spec, spec.bind(instrs[pc].args)))
-        pc += 1
-        if spec.next is not None:
-            break
-    end = pc
-    if not run:
-        return None
+    # Pass 1: bind each instruction's operands and classify.
+    run: List[Tuple[OpSpec, Dict[str, int]]] = [
+        (spec, spec.bind(args)) for spec, args in content]
+    end = start + len(run)
     # The control transfer ending the block, if any.
     term_spec, term_slots = run.pop() if run[-1][0].next else (None, {})
 
@@ -427,7 +460,8 @@ def _lane_wrap_source(scalar_source: str, dynamic: bool) -> str:
 def compile_lane_superblock(instrs: Sequence[Instr],
                             batchable: Sequence[bool],
                             start: int) -> Optional[SuperBlock]:
-    """Compile the lane-vectorized form of the superblock at ``start``.
+    """Compile (or fetch from the memo) the lane-vectorized form of the
+    superblock at ``start``.
 
     Static blocks: ``fn(lanes) -> [next_pc per lane]``.  Dynamic (self-
     loop) blocks: ``fn(lanes, budget) -> [(next_pc, cycles, count) per
@@ -435,9 +469,14 @@ def compile_lane_superblock(instrs: Sequence[Instr],
     budget, so lanes that exit the loop earlier (data divergence) come
     back with smaller charges and the caller splits them off.
     """
-    scalar = compile_superblock(instrs, batchable, start)
-    if scalar is None:
-        return None
+    run = _block_run(instrs, batchable, start)
+    return _compile_lane_run(start, run) if run else None
+
+
+@functools.lru_cache(maxsize=MEMO_BLOCKS)
+def _compile_lane_run(start: int, content: BlockRun) -> SuperBlock:
+    """Generate the lane superblock for one block content."""
+    scalar = _compile_run(start, content)
     source = _lane_wrap_source(scalar.source, scalar.dynamic)
     namespace = dict(TEMPLATE_GLOBALS)
     exec(compile(source, f"<lane superblock pc={start}>", "exec"),  # noqa: S102

@@ -27,7 +27,7 @@ Two tiers inside a vector step:
   trip count differs simply comes back with its own exit pc/charge and
   is finalized there (*split on divergence*).
 
-Lanes split off to the scalar fast/compiled path -- and transparently
+Lanes split off to the scalar compiled path -- and transparently
 rejoin at the next common leader pc -- at every divergence point: bus
 ops, an open irq window, a watched ``pc_signal``, stall or post-instr
 hooks, an outstanding sync request, a mismatched decode, or simply a
@@ -78,38 +78,13 @@ class LaneResult:
         self.decoded = decoded
 
 
-def run_handler_chain(decoded, regs: List[int], pc: int,
-                      quantum: int) -> LaneResult:
-    """Retire one quantum-bounded batch of fast-tier handlers starting
-    at ``pc``, one decoded handler per instruction (the ``fast``
-    backend's batch).  Only a :class:`BlockFault` is charged and
-    returned; any other exception propagates at once, before the core
-    yields or charges anything."""
-    handlers = decoded.handlers
-    cycles = decoded.cycles
-    batchable = decoded.batchable
-    n = decoded.n
-    total = 0
-    count = 0
-    while True:
-        cost = cycles[pc]
-        try:
-            pc = handlers[pc](regs)
-        except BlockFault as error:
-            return LaneResult(error.pc, total + error.cycles,
-                              count + error.count, error.cost,
-                              error.detail)
-        total += cost
-        count += 1
-        if total >= quantum or not 0 <= pc < n or not batchable[pc]:
-            return LaneResult(pc, total, count, cost)
-
-
 def run_superblock_chain(decoded, regs: List[int], pc: int,
                          quantum: int) -> LaneResult:
     """Retire one quantum-bounded batch of scalar superblocks starting
     at ``pc`` -- the compiled backend's batch, also run here for solo
-    lanes and for the twins-share-one-execution tier."""
+    lanes and for the twins-share-one-execution tier.  Only a
+    :class:`BlockFault` is charged and returned; any other exception
+    propagates at once, before the core yields or charges anything."""
     sblocks = decoded.superblocks()
     get_block = sblocks.get
     batchable = decoded.batchable
@@ -301,5 +276,5 @@ class LaneGroup:
         return leader_result
 
 
-__all__ = ["LaneGroup", "LaneResult", "run_handler_chain", "run_lane_chain",
+__all__ = ["LaneGroup", "LaneResult", "run_lane_chain",
            "run_superblock_chain"]

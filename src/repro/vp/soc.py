@@ -59,13 +59,13 @@ class SoCConfig:
     # force the same per-instruction behavior regardless of this value.
     quantum: int = DEFAULT_QUANTUM
     # Execution backend tier for every core: "reference" pins the
-    # event-exact per-instruction path (the oracle), "fast" batches via
-    # pre-decoded closures, "compiled" retires whole superblocks per
-    # generated-Python call (repro.vp.jit), "vector" steps homogeneous
-    # cores in lockstep -- one superblock batch per step for every
-    # convergent lane (repro.vp.lanes), splitting lanes to the scalar
-    # path on divergence.  All tiers are bit-identical; the batching
-    # tiers round the quantum up to superblock granularity.
+    # event-exact per-instruction path (the oracle), "compiled" (the
+    # default) retires whole superblocks per generated-Python call
+    # (repro.vp.jit), "vector" steps homogeneous cores in lockstep --
+    # one superblock batch per step for every convergent lane
+    # (repro.vp.lanes), splitting lanes to the scalar path on
+    # divergence.  All tiers are bit-identical; the batching tiers
+    # round the quantum up to superblock granularity.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

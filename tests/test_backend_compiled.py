@@ -19,8 +19,7 @@ from repro.vp.iss import BACKENDS, Cpu, DEFAULT_BACKEND, decode_program
 from repro.vp.jit import (BlockFault, JIT_SALT, MAX_BLOCK_INSTRS,
                          SuperBlockCache, compile_superblock)
 
-ALL_RUNS = [("reference", 1), ("fast", 64), ("compiled", 64),
-            ("vector", 64)]
+ALL_RUNS = [("reference", 1), ("compiled", 64), ("vector", 64)]
 
 
 def _soc(asm, backend, quantum, n_cores=1):
@@ -131,6 +130,44 @@ class TestCacheAndSalt:
         assert jit._compute_salt() == JIT_SALT
         monkeypatch.setattr(inspect, "getsource", edited)
         assert jit._compute_salt() != JIT_SALT
+
+    def test_blocks_are_memoized_by_content(self):
+        # Two independently assembled copies of one source share their
+        # compiled blocks (scalar and lane form) through the memo.
+        source = ("li r1, 0\nli r2, 9\nloop: addi r1, r1, 1\n"
+                  "blt r1, r2, loop\nhalt\n")
+        first = decode_program(assemble(source))
+        second = decode_program(assemble(source))
+        assert first is not second
+        for pc in (0, 2):
+            assert second.superblocks().get(pc) is \
+                first.superblocks().get(pc)
+            assert second.lane_superblocks().get(pc) is \
+                first.lane_superblocks().get(pc)
+
+    def test_memo_key_holds_the_table_entry(self, monkeypatch):
+        # A replaced opcode-table entry must miss the memo: the key
+        # holds the OpSpec itself, not the op name.
+        import dataclasses
+
+        from repro.vp import isa
+
+        source = "li r1, 5\nxor r2, r1, r1\nhalt\n"
+        good = decode_program(assemble(source))
+        good_block = good.superblocks().get(0)
+        good_lane = good.lane_superblocks().get(0)
+        monkeypatch.setitem(isa.OPS, "xor", dataclasses.replace(
+            isa.OPS["xor"], expr="({a} ^ {b}) ^ 1"))
+        patched = decode_program(assemble(source))
+        block = patched.superblocks().get(0)
+        assert block is not good_block
+        assert patched.lane_superblocks().get(0) is not good_lane
+        regs = [0] * 16
+        block.fn(regs)
+        assert regs[2] == 1          # the replaced entry's semantics
+        regs = [0] * 16
+        good_block.fn(regs)
+        assert regs[2] == 0
 
     def test_cache_is_shared_across_cores(self):
         program = assemble("li r1, 0\nli r2, 9\nloop: addi r1, r1, 1\n"
@@ -345,8 +382,12 @@ class TestInvalidateDecode:
 
 class TestBackendSelection:
     def test_backend_names(self):
-        assert BACKENDS == ("reference", "fast", "compiled", "vector")
-        assert DEFAULT_BACKEND in BACKENDS
+        assert BACKENDS == ("reference", "compiled", "vector")
+        assert DEFAULT_BACKEND == "compiled"
+
+    def test_removed_fast_tier_is_rejected(self):
+        with pytest.raises(ValueError, match="backend"):
+            SoCConfig(backend="fast")
 
     def test_invalid_backend_rejected(self):
         from repro.desim.kernel import Simulator

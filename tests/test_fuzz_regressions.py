@@ -2,7 +2,7 @@
 
 Every divergence the fuzzer finds lands here twice: once as the fix in
 the code under test, once as a shrinker-minimized scenario asserting
-the five execution paths agree forever after.
+the four execution paths agree forever after.
 
 The development campaign for this harness (200 seeds x interp + 4 ISS
 backends) found **no backend divergence** -- but it did catch two bugs
@@ -17,10 +17,9 @@ in the *harness's own* early scenario generator, pinned below:
    (``test_nonterminating_scenario_is_rejected_not_diverged``).
 
 The pipeline itself is proven against a planted backend bug: ``xor`` is
-broken in the opcode table (``repro.vp.isa.OPS``) that the fast tier's
-handlers and the compiled/vector tiers' superblocks are generated from,
-while the reference path keeps its hand-written ops -- so exactly the
-three batching tiers drift.  The real harness finds it, the real shrinker
+broken in the opcode table (``repro.vp.isa.OPS``) that the compiled and
+vector tiers' superblocks are generated from, while the reference path
+keeps its hand-written ops -- so exactly the two batching tiers drift.  The real harness finds it, the real shrinker
 minimizes it, and the emitted regression pins it.
 """
 
@@ -43,8 +42,9 @@ from repro.gen import (
 @pytest.fixture
 def broken_table_xor():
     """Plant a wrong ``xor`` in the opcode table.  Nothing is derived
-    from an entry at import time: handlers and superblocks are generated
-    per decoded program, and every scenario assembles fresh programs."""
+    from an entry at import time: superblocks are generated per decoded
+    program, and their process-wide memo is keyed on the table entry
+    itself, so the replaced entry misses it."""
     good = isa.OPS["xor"]
     isa.OPS["xor"] = dataclasses.replace(good, expr="({a} ^ {b}) ^ 1")
     try:
@@ -66,7 +66,7 @@ class TestShrinkToRegressionPipeline:
         # Every tier generated from the table diverges; the hand-written
         # reference (the oracle every leg is compared against) does not.
         assert {m["backend"] for m in found["mismatches"]} == \
-            {"fast", "compiled", "vector"}
+            {"compiled", "vector"}
 
         # 2. the shrinker minimizes it while re-checking every edit
         scenario = found["scenario"]
@@ -117,7 +117,7 @@ class TestHarnessSelfChecks:
 # Minimized by repro.gen.shrink from the planted-xor hunt (seed 2 of the
 # development campaign, 34 lines -> 3).  Kept pinned: this exact shape
 # -- a decode-time table op inside an irq scenario -- is the cheapest
-# witness that all four backends agree on the op tables.
+# witness that all three backends agree on the op tables.
 PINNED_XOR_SCENARIO = {
     "kind": "firmware", "seed": 2, "family": "irq", "quantum": 128,
     "ram_words": 2048,

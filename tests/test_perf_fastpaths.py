@@ -9,6 +9,7 @@ from repro.vp import SoC, SoCConfig, assemble
 from repro.vp.bus import Bus, BusError, Ram
 from repro.vp.iss import (Cpu, DecodedProgram, decode_program,
                           invalidate_decode)
+from repro.vp.jit import SuperBlock
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ class TestDecodeCache:
         assert decoded.batchable[2:] == [False] * 6
 
     def test_div_by_zero_faults_even_into_r0(self):
-        # rd == r0 handlers must still evaluate operands.
+        # A write to r0 is dropped, but its operands are still checked.
         with pytest.raises(RuntimeError, match="division by zero at pc=2"):
             soc = SoC(SoCConfig(n_cores=1),
                       {0: "li r1, 1\nli r2, 0\ndiv r0, r1, r2\nhalt\n"})
@@ -66,22 +67,29 @@ class TestDecodeCache:
 
     def test_non_fault_exception_in_a_batch_propagates_uncharged(self):
         # Only a BlockFault is held back to surface at its reference
-        # cycle.  Anything else raised inside a fast-tier batch -- an
-        # interrupt, MemoryError, a handler bug -- must propagate at
-        # once: not after the batch delays (other cores would keep
-        # running meanwhile), and with nothing charged to the core.
-        class HandlerBug(Exception):
+        # cycle.  Anything else raised inside a batch -- an interrupt,
+        # MemoryError, a compiler bug -- must propagate at once: not
+        # after the batch delays (other cores would keep running
+        # meanwhile), and with nothing charged to the core.
+        class BlockBug(Exception):
             pass
 
-        soc = SoC(SoCConfig(n_cores=1, backend="fast"),
-                  {0: "li r1, 1\naddi r1, r1, 1\naddi r1, r1, 1\nhalt\n"})
-        decoded = decode_program(soc.cores[0].program)
+        soc = SoC(SoCConfig(n_cores=1),
+                  {0: "li r1, 1\njmp 2\naddi r1, r1, 1\n"
+                      "addi r1, r1, 1\nhalt\n"})
+        cache = decode_program(soc.cores[0].program).superblocks()
+        good = cache.get(2)
 
         def broken(regs):
-            raise HandlerBug("boom")
+            raise BlockBug("boom")
 
-        decoded.handlers[2] = broken
-        with pytest.raises(HandlerBug, match="boom"):
+        # Plant into this program's cache slot only: the block object
+        # itself is shared through the process-wide compile memo.  The
+        # batch retires block 0 first, so the bug fires mid-chain.
+        cache.blocks[2] = SuperBlock(
+            broken, good.cycles, good.count, good.last_cost, good.start,
+            good.end, good.dynamic, good.source)
+        with pytest.raises(BlockBug, match="boom"):
             soc.run()
         core = soc.cores[0]
         assert soc.sim.now == 0
